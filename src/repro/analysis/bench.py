@@ -48,7 +48,7 @@ import time
 from typing import Callable, Sequence
 
 from repro.core.allocation import ThreadAllocation
-from repro.core.candidates import CandidateSpace
+from repro.core.candidates import CandidateSpace, symmetric_counts_tensor
 from repro.core.delta import DeltaSearch
 from repro.core.model import NumaPerformanceModel
 from repro.core.optimizer import (
@@ -57,7 +57,6 @@ from repro.core.optimizer import (
     GreedySearch,
     HillClimbSearch,
 )
-from repro.core.policies import symmetric_counts_tensor
 from repro.core.spec import AppSpec
 from repro.machine.presets import model_machine
 

@@ -516,7 +516,7 @@ def run_sublinear() -> SublinearResult:
     fair_g = model.predict(machine, apps, fair).total_gflops
     # Search with a 1-thread-per-app floor so nobody is starved outright.
     best = None
-    from repro.core.policies import enumerate_symmetric_allocations
+    from repro.core.candidates import enumerate_symmetric_allocations
 
     for alloc in enumerate_symmetric_allocations(machine, apps):
         if np.any(alloc.counts.min(axis=1) < 1):

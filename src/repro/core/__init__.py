@@ -11,8 +11,8 @@ Public surface:
 * :mod:`~repro.core.policies` and :mod:`~repro.core.optimizer` —
   allocation generators and searches;
 * :mod:`~repro.core.candidates` and :mod:`~repro.core.delta` — the
-  shared candidate-space layer and the incremental (O(delta))
-  churn-time re-optimizer built on it;
+  shared candidate-space layer (every enumeration the searches walk)
+  and the incremental (O(delta)) churn-time re-optimizer built on it;
 * :mod:`~repro.core.parallel` — the process-parallel scoring pool that
   shards big candidate batches over shared-memory tensors;
 * :mod:`~repro.core.arbitration` — static multi-runtime core negotiation;
@@ -28,7 +28,12 @@ from repro.core.arbitration import (
     FairShareArbiter,
     ResourceRequest,
 )
-from repro.core.candidates import CandidateSpace
+from repro.core.candidates import (
+    CandidateSpace,
+    enumerate_node_compositions,
+    enumerate_symmetric_allocations,
+    symmetric_counts_tensor,
+)
 from repro.core.delta import (
     DeltaResult,
     DeltaSearch,
@@ -84,9 +89,6 @@ from repro.core.policies import (
     ProportionalDemandPolicy,
     SingleAppFillPolicy,
     UnevenSharePolicy,
-    enumerate_node_compositions,
-    enumerate_symmetric_allocations,
-    symmetric_counts_tensor,
 )
 from repro.core.roofline import Roofline, attainable_gflops
 from repro.core.spec import AppSpec, Placement

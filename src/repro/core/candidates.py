@@ -18,31 +18,146 @@ the ones ``tests/test_core_fasteval.py`` locked in when the fast paths
 landed, and ``tests/test_core_candidates.py`` pins them against this
 module directly:
 
-* symmetric allocations follow
-  :func:`~repro.core.policies.enumerate_node_compositions` (stars and
-  bars);
+* symmetric allocations follow :func:`enumerate_node_compositions`
+  (stars and bars);
 * addition moves iterate ``(app, node)`` with apps outermost;
 * transfer moves iterate ``(src, dst, node)`` with sources outermost;
 * random proposals draw ``rng.integers(len(donors))`` over
   ``np.argwhere(counts > 0)`` and then ``rng.integers(len(choices))``
   over the non-donor apps — the exact draw sequence the annealing
   search has always used, so seeded runs replay bit-identically.
+
+The symmetric subspace depends only on (cores per node, apps, nodes,
+``require_full``), so its counts tensor is built once per size and
+shared read-only (:func:`symmetric_counts_tensor`): every exhaustive
+search and delta audit over one workload size scores the same array
+instead of re-enumerating it.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.core.policies import (
-    enumerate_symmetric_allocations,
-    symmetric_counts_tensor,
-)
+from repro.core.allocation import ThreadAllocation
+from repro.core.spec import AppSpec
 from repro.errors import AllocationError
 from repro.machine.topology import MachineTopology
 
-__all__ = ["CandidateSpace"]
+__all__ = [
+    "CandidateSpace",
+    "enumerate_node_compositions",
+    "enumerate_symmetric_allocations",
+    "symmetric_counts_tensor",
+]
+
+#: Symmetric tensors kept by :func:`symmetric_counts_tensor`, LRU.  A
+#: churning population moves between a few neighbouring sizes; 8 apps on
+#: the 4 x 8-core model machine is a 6,435-row, 1.6 MB tensor.
+_TENSORS_KEPT = 8
+
+
+def enumerate_node_compositions(
+    cores: int, num_apps: int, *, require_full: bool = True
+) -> Iterator[tuple[int, ...]]:
+    """Yield per-app thread counts for one node summing to ``cores``.
+
+    With ``require_full=False`` also yields partial occupations (sums less
+    than ``cores``), which lets optimizers consider leaving cores idle —
+    profitable when extra memory-bound threads would only add contention.
+    """
+    if cores < 0 or num_apps <= 0:
+        raise AllocationError(
+            f"invalid composition space: cores={cores}, apps={num_apps}"
+        )
+    totals = [cores] if require_full else range(cores + 1)
+    for total in totals:
+        # Stars and bars over `num_apps` nonnegative integers.
+        for cuts in itertools.combinations(
+            range(total + num_apps - 1), num_apps - 1
+        ):
+            comp = []
+            prev = -1
+            for c in cuts:
+                comp.append(c - prev - 1)
+                prev = c
+            comp.append(total + num_apps - 2 - prev)
+            yield tuple(comp)
+
+
+def _common_cores(machine: MachineTopology) -> int:
+    """The per-node core count every node shares, or raise."""
+    counts = set(machine.cores_per_node)
+    if len(counts) != 1:
+        raise AllocationError(
+            "symmetric enumeration requires equal cores per node"
+        )
+    return counts.pop()
+
+
+def enumerate_symmetric_allocations(
+    machine: MachineTopology,
+    apps: Sequence[AppSpec],
+    *,
+    require_full: bool = True,
+) -> Iterator[ThreadAllocation]:
+    """Yield every allocation that uses the same composition on all nodes.
+
+    The symmetric subspace is where the paper's scenarios a) and b) live;
+    it has :math:`\\binom{C+A-1}{A-1}` points for ``C`` cores per node and
+    ``A`` apps, small enough for exhaustive search on the paper machines.
+    Requires a machine whose nodes all have the same core count.
+    """
+    cores = _common_cores(machine)
+    names = tuple(a.name for a in apps)
+    for comp in enumerate_node_compositions(
+        cores, len(apps), require_full=require_full
+    ):
+        yield ThreadAllocation.uniform(names, machine.num_nodes, list(comp))
+
+
+def symmetric_counts_tensor(
+    machine: MachineTopology,
+    num_apps: int,
+    *,
+    require_full: bool = True,
+) -> np.ndarray:
+    """The whole symmetric space as one read-only ``(B, apps, nodes)`` tensor.
+
+    The batched form of :func:`enumerate_symmetric_allocations`: row
+    ``b`` replicates the ``b``-th node composition (same enumeration
+    order) across every node.  Feeding the tensor to
+    :meth:`~repro.core.model.NumaPerformanceModel.predict_scores` scores
+    the entire space in one call — the exhaustive-search fast path.
+
+    The tensor is built on first use and memoised per (cores per node,
+    apps, nodes, ``require_full``); every later call for that size
+    returns the same array, which is therefore read-only.
+    """
+    return _symmetric_tensor(
+        _common_cores(machine), num_apps, machine.num_nodes, require_full
+    )
+
+
+@functools.lru_cache(maxsize=_TENSORS_KEPT)
+def _symmetric_tensor(
+    cores: int, num_apps: int, num_nodes: int, require_full: bool
+) -> np.ndarray:
+    comps = np.array(
+        list(
+            enumerate_node_compositions(
+                cores, num_apps, require_full=require_full
+            )
+        ),
+        dtype=np.int64,
+    ).reshape(-1, num_apps)
+    tensor = np.repeat(comps[:, :, None], num_nodes, axis=2)
+    tensor.setflags(write=False)
+    return tensor
 
 
 class CandidateSpace:
@@ -50,8 +165,9 @@ class CandidateSpace:
 
     The space depends only on the machine topology and the *number* of
     applications; app identities stay with the caller.  All batch
-    builders return fresh ``(B, apps, nodes)`` int64 tensors suitable
-    for :meth:`~repro.core.model.NumaPerformanceModel.predict_scores`.
+    builders return ``(B, apps, nodes)`` int64 tensors suitable for
+    :meth:`~repro.core.model.NumaPerformanceModel.predict_scores`: the
+    move batches fresh, the symmetric tensor shared and read-only.
     """
 
     def __init__(self, machine: MachineTopology, num_apps: int) -> None:
@@ -73,12 +189,7 @@ class CandidateSpace:
     @property
     def cores_per_node(self) -> int:
         """The common per-node core count of a symmetric machine."""
-        counts = set(self.machine.cores_per_node)
-        if len(counts) != 1:
-            raise AllocationError(
-                "symmetric enumeration requires equal cores per node"
-            )
-        return counts.pop()
+        return _common_cores(self.machine)
 
     def symmetric_size(self, *, require_full: bool = True) -> int:
         """Number of node-symmetric candidates, without enumerating them.
@@ -99,9 +210,11 @@ class CandidateSpace:
         )
 
     def symmetric_tensor(self, *, require_full: bool = True) -> np.ndarray:
-        """The symmetric subspace as one ``(B, apps, nodes)`` tensor.
+        """The symmetric subspace as one read-only ``(B, apps, nodes)`` tensor.
 
-        Row order matches :meth:`symmetric_allocations` exactly.
+        Row order matches :meth:`symmetric_allocations` exactly.  Every
+        space of one size returns the same memoised array
+        (:func:`symmetric_counts_tensor`).
         """
         return symmetric_counts_tensor(
             self.machine, self.num_apps, require_full=require_full

@@ -24,7 +24,10 @@ layers:
 3. **Memoisation** — :class:`ScoreCache` is a bounded LRU keyed by
    ``(workload fingerprint, counts bytes)``.  Hill climbing and
    annealing revisit the same allocations constantly; a revisit costs
-   one dict lookup instead of a model evaluation.
+   one dict lookup instead of a model evaluation.  A batch makes one
+   round trip: its row keys are built in one step (:func:`row_keys`)
+   and the fingerprint is hashed once per lookup and store, not per
+   row.
 
 The scalar :meth:`~repro.core.model.NumaPerformanceModel.predict`
 remains the ground truth; parity (``|batched - reference| <= 1e-9``) is
@@ -35,9 +38,11 @@ the speedup is tracked by ``python -m repro bench``
 
 from __future__ import annotations
 
+import functools
+import itertools
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
@@ -54,6 +59,7 @@ __all__ = [
     "batched_app_gflops",
     "as_counts_batch",
     "check_oversubscription",
+    "row_keys",
     "workload_fingerprint",
 ]
 
@@ -289,6 +295,16 @@ def batched_app_gflops(
     return gflops.sum(axis=2)
 
 
+class _Prefix:
+    """One interned key prefix and how many cached rows share it."""
+
+    __slots__ = ("key", "rows")
+
+    def __init__(self, key: tuple) -> None:
+        self.key = key
+        self.rows = 0
+
+
 class ScoreCache:
     """Bounded LRU of per-app GFLOPS rows, keyed by exact allocation.
 
@@ -298,6 +314,16 @@ class ScoreCache:
     Local-search optimizers revisit allocations constantly (a hill-climb
     neighbourhood overlaps its predecessor's almost entirely), which is
     what makes a memo cache worth its memory.
+
+    The keys of one batch differ only in their last element, so
+    :meth:`lookup` and :meth:`store` take the shared prefix
+    ``(fingerprint,)`` once and the last elements as a list.  The cache
+    interns each prefix that still has rows, so a ~1 KB fingerprint is
+    hashed once per lookup or store instead of on every row's ``get``,
+    ``put`` and recency update.  :meth:`get` and :meth:`put` are the
+    one-row case of the same code; a batch leaves the same LRU order and
+    ``hits``/``misses`` counts as a :meth:`get` of every row followed by
+    a :meth:`put` of every miss, in batch order.
     """
 
     def __init__(self, maxsize: int = 65536) -> None:
@@ -306,35 +332,115 @@ class ScoreCache:
         self.maxsize = maxsize
         self.hits = 0
         self.misses = 0
-        self._data: OrderedDict[tuple, np.ndarray] = OrderedDict()
+        self._data: OrderedDict[tuple[_Prefix, Hashable], np.ndarray] = (
+            OrderedDict()
+        )
+        self._prefixes: dict[tuple, _Prefix] = {}
 
     def __len__(self) -> int:
         return len(self._data)
 
+    def keys(self) -> list[tuple]:
+        """Every cached key, least recently used first."""
+        return [prefix.key + (row,) for prefix, row in self._data]
+
     def get(self, key: tuple) -> np.ndarray | None:
         """The cached row for ``key``, refreshing its recency."""
-        row = self._data.get(key)
-        if row is None:
-            self.misses += 1
-            return None
-        self._data.move_to_end(key)
-        self.hits += 1
-        return row
+        _, found = self.lookup(key[:-1], key[-1:])
+        return found[0] if found else None
 
     def put(self, key: tuple, row: np.ndarray) -> None:
         """Insert a row, evicting the least recently used beyond capacity."""
         row = np.asarray(row)
         row.setflags(write=False)
-        self._data[key] = row
-        self._data.move_to_end(key)
-        while len(self._data) > self.maxsize:
-            self._data.popitem(last=False)
+        self.store(key[:-1], key[-1:], row[None])
+
+    def lookup(
+        self, prefix: tuple, rows: Sequence[Hashable]
+    ) -> tuple[list[int], list[np.ndarray]]:
+        """Look up the keys ``prefix + (row,)`` in order; refresh the hits.
+
+        Returns the positions in ``rows`` that missed and the cached
+        values of the rest, both in batch order.  A row repeated in the
+        batch is looked up as often as it appears.
+        """
+        interned = self._prefixes.get(prefix)
+        if interned is None:
+            self.misses += len(rows)
+            return list(range(len(rows))), []
+        get = self._data.get
+        refresh = self._data.move_to_end
+        missed: list[int] = []
+        found: list[np.ndarray] = []
+        for i, row in enumerate(rows):
+            key = (interned, row)
+            value = get(key)
+            if value is None:
+                missed.append(i)
+            else:
+                refresh(key)
+                found.append(value)
+        self.hits += len(found)
+        self.misses += len(missed)
+        return missed, found
+
+    def store(
+        self, prefix: tuple, rows: Sequence[Hashable], values: np.ndarray
+    ) -> None:
+        """Insert ``values[i]`` under ``prefix + (rows[i],)``, in order.
+
+        ``values`` is made read-only and its rows are cached as views.
+        The least recently used entries beyond capacity are evicted.
+        """
+        values = np.asarray(values)
+        values.setflags(write=False)
+        interned = self._prefixes.get(prefix)
+        if interned is None:
+            interned = self._prefixes[prefix] = _Prefix(prefix)
+        data = self._data
+        keys = [(interned, row) for row in rows]
+        before = len(data)
+        data.update(zip(keys, values))
+        added = len(data) - before
+        if added < len(keys):
+            # Some keys were already cached (or repeat in the batch):
+            # each put moves its key to the most recent end.
+            for key in keys:
+                data.move_to_end(key)
+        interned.rows += added
+        over = len(data) - self.maxsize
+        if over > 0:
+            for key in list(itertools.islice(data, over)):
+                del data[key]
+                owner = key[0]
+                owner.rows -= 1
+                if not owner.rows:
+                    del self._prefixes[owner.key]
 
     def clear(self) -> None:
         """Drop every entry and reset the hit/miss tallies."""
         self._data.clear()
+        self._prefixes.clear()
         self.hits = 0
         self.misses = 0
+
+
+def row_keys(counts: np.ndarray) -> list[bytes]:
+    """``counts[b].tobytes()`` for every row of a ``(B, A, N)`` tensor.
+
+    Built in one vectorised step: each row is viewed as one opaque
+    ``A * N * itemsize``-byte record and the records are converted to
+    ``bytes`` together.
+    """
+    batch, apps, nodes = counts.shape
+    flat = np.ascontiguousarray(counts).reshape(batch, apps * nodes)
+    return flat.view(_record(flat.shape[1] * flat.itemsize)).ravel().tolist()
+
+
+@functools.lru_cache(maxsize=16)
+def _record(nbytes: int) -> np.dtype:
+    """The opaque ``nbytes``-byte record dtype (built once per width)."""
+    return np.dtype((np.void, nbytes))
 
 
 class FastEvaluator:

@@ -37,6 +37,7 @@ from repro.core.fasteval import (
     ScoreCache,
     as_counts_batch,
     batched_app_gflops,
+    row_keys,
     workload_fingerprint,
 )
 from repro.core.spec import AppSpec, Placement
@@ -314,7 +315,10 @@ class NumaPerformanceModel:
         the model run vectorised over a batch axis
         (:mod:`repro.core.fasteval`) and no result dataclasses are
         assembled.  Rows already in the memo cache are served from it;
-        only the misses are evaluated, in one batched call.
+        only the misses are evaluated, in one batched call.  The cache
+        round trip is one lookup and one store per batch
+        (:meth:`~repro.core.fasteval.ScoreCache.lookup`), not one per
+        row.
 
         Parameters
         ----------
@@ -351,30 +355,29 @@ class NumaPerformanceModel:
                 self._obs_cache_misses.add(len(counts))
             return gflops
 
-        out = np.empty((len(counts), len(apps)))
-        miss_rows: list[int] = []
-        miss_keys: list[tuple] = []
-        hits = 0
-        for b in range(len(counts)):
-            key = (tables.key, counts[b].tobytes())
-            row = cache.get(key)
-            if row is None:
-                miss_rows.append(b)
-                miss_keys.append(key)
-            else:
-                out[b] = row
-                hits += 1
-        if miss_rows:
-            fresh = self._batch_gflops(tables, counts[miss_rows])
-            out[miss_rows] = fresh
-            for i, key in enumerate(miss_keys):
-                cache.put(key, fresh[i])
+        keys = row_keys(counts)
+        prefix = (tables.key,)
+        missed, found = cache.lookup(prefix, keys)
+        if len(missed) == len(counts):
+            fresh = self._batch_gflops(tables, counts)
+            cache.store(prefix, keys, fresh)
+            out = fresh.copy()
+        elif not missed:
+            out = np.array(found)
+        else:
+            out = np.empty((len(counts), len(apps)))
+            hit = np.ones(len(counts), dtype=bool)
+            hit[missed] = False
+            out[hit] = found
+            fresh = self._batch_gflops(tables, counts[missed])
+            out[missed] = fresh
+            cache.store(prefix, [keys[i] for i in missed], fresh)
         if OBS.enabled:
             self._obs_batched.add(len(counts))
-            if hits:
-                self._obs_cache_hits.add(hits)
-            if miss_rows:
-                self._obs_cache_misses.add(len(miss_rows))
+            if found:
+                self._obs_cache_hits.add(len(found))
+            if missed:
+                self._obs_cache_misses.add(len(missed))
         return out
 
     def _tables_for(

@@ -4,16 +4,15 @@ Section II/III of the paper sketch several "simple core allocation
 strategies": a fair share of the cores per application, uneven splits that
 favour applications which can use the bandwidth, and dedicating whole NUMA
 nodes.  This module turns each into a policy object with a common
-interface, plus an exhaustive enumerator used by the optimal-search
-baseline in :mod:`repro.core.optimizer`.
+interface.  The enumerations the searches walk live in
+:mod:`repro.core.candidates`.
 """
 
 from __future__ import annotations
 
-import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -29,9 +28,6 @@ __all__ = [
     "NodeExclusivePolicy",
     "ProportionalDemandPolicy",
     "SingleAppFillPolicy",
-    "enumerate_symmetric_allocations",
-    "enumerate_node_compositions",
-    "symmetric_counts_tensor",
 ]
 
 
@@ -233,88 +229,3 @@ class SingleAppFillPolicy(AllocationPolicy):
                     f"'{self.favoured}' among {len(apps)} apps"
                 )
         return ThreadAllocation(app_names=tuple(names), counts=counts)
-
-
-def enumerate_node_compositions(
-    cores: int, num_apps: int, *, require_full: bool = True
-) -> Iterator[tuple[int, ...]]:
-    """Yield per-app thread counts for one node summing to ``cores``.
-
-    With ``require_full=False`` also yields partial occupations (sums less
-    than ``cores``), which lets optimizers consider leaving cores idle —
-    profitable when extra memory-bound threads would only add contention.
-    """
-    if cores < 0 or num_apps <= 0:
-        raise AllocationError(
-            f"invalid composition space: cores={cores}, apps={num_apps}"
-        )
-    totals = [cores] if require_full else range(cores + 1)
-    for total in totals:
-        # Stars and bars over `num_apps` nonnegative integers.
-        for cuts in itertools.combinations(
-            range(total + num_apps - 1), num_apps - 1
-        ):
-            comp = []
-            prev = -1
-            for c in cuts:
-                comp.append(c - prev - 1)
-                prev = c
-            comp.append(total + num_apps - 2 - prev)
-            yield tuple(comp)
-
-
-def enumerate_symmetric_allocations(
-    machine: MachineTopology,
-    apps: Sequence[AppSpec],
-    *,
-    require_full: bool = True,
-) -> Iterator[ThreadAllocation]:
-    """Yield every allocation that uses the same composition on all nodes.
-
-    The symmetric subspace is where the paper's scenarios a) and b) live;
-    it has :math:`\\binom{C+A-1}{A-1}` points for ``C`` cores per node and
-    ``A`` apps, small enough for exhaustive search on the paper machines.
-    Requires a machine whose nodes all have the same core count.
-    """
-    counts = set(machine.cores_per_node)
-    if len(counts) != 1:
-        raise AllocationError(
-            "symmetric enumeration requires equal cores per node"
-        )
-    cores = counts.pop()
-    names = tuple(a.name for a in apps)
-    for comp in enumerate_node_compositions(
-        cores, len(apps), require_full=require_full
-    ):
-        yield ThreadAllocation.uniform(names, machine.num_nodes, list(comp))
-
-
-def symmetric_counts_tensor(
-    machine: MachineTopology,
-    num_apps: int,
-    *,
-    require_full: bool = True,
-) -> np.ndarray:
-    """The whole symmetric space as one ``(B, apps, nodes)`` counts tensor.
-
-    The batched form of :func:`enumerate_symmetric_allocations`: row
-    ``b`` replicates the ``b``-th node composition (same enumeration
-    order) across every node.  Feeding the tensor to
-    :meth:`~repro.core.model.NumaPerformanceModel.predict_scores` scores
-    the entire space in one call — the exhaustive-search fast path.
-    """
-    counts = set(machine.cores_per_node)
-    if len(counts) != 1:
-        raise AllocationError(
-            "symmetric enumeration requires equal cores per node"
-        )
-    cores = counts.pop()
-    comps = np.array(
-        list(
-            enumerate_node_compositions(
-                cores, num_apps, require_full=require_full
-            )
-        ),
-        dtype=np.int64,
-    ).reshape(-1, num_apps)
-    return np.repeat(comps[:, :, None], machine.num_nodes, axis=2)

@@ -72,8 +72,8 @@ class ObservabilityError(SimulationError):
     """An observability primitive (metric, span, exporter) was misused.
 
     Subclasses :class:`SimulationError` because the metric primitives
-    originated in :mod:`repro.sim.metrics`; existing callers that catch
-    ``SimulationError`` keep working after the move to :mod:`repro.obs`.
+    originated in the simulator; callers that catch ``SimulationError``
+    keep working after their move to :mod:`repro.obs`.
     """
 
 

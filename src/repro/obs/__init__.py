@@ -9,7 +9,7 @@ measurement substrate:
   with a thread-safe buffer (:class:`Tracer`, no-op :class:`NullTracer`);
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry` with counters,
   gauges, histograms, time series and rate integrators (generalising the
-  old :mod:`repro.sim.metrics`, which remains as a shim);
+  simulator-local registry they started as);
 * :mod:`repro.obs.export` — JSON-lines and Chrome ``chrome://tracing``
   trace-event exporters.
 

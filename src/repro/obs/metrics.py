@@ -1,8 +1,8 @@
 """Process-wide metric primitives: counters, gauges, histograms, series.
 
-This module generalises what used to live in :mod:`repro.sim.metrics`
-(which remains as a compatibility shim).  Experiments and instrumented
-hot paths need five things:
+This module generalises the simulator-local registry the metric
+primitives started as.  Experiments and instrumented hot paths need
+five things:
 
 * :class:`Counter` — monotonically increasing event counts (tasks
   executed, model evaluations, agent commands);

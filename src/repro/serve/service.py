@@ -25,8 +25,9 @@ Policy highlights (full semantics in ``docs/SERVICE.md``):
 * **Score-cache reuse** — the service owns a single
   :class:`~repro.core.model.NumaPerformanceModel` whose
   :class:`~repro.core.fasteval.ScoreCache` persists across churn;
-  when a departed workload composition returns, its candidate scores
-  are cache hits (property-tested in ``tests/test_core_fasteval.py``).
+  when a departed workload returns with the same apps in the same
+  admission order, its candidate scores are cache hits (property-tested
+  in ``tests/test_core_fasteval.py``).
 * **Incremental re-optimization** — ``mode="delta"`` warm-starts each
   re-optimization from the previous allocation through
   :class:`~repro.core.delta.DeltaSearch` (O(delta) move exploration
@@ -670,12 +671,16 @@ class AllocationService:
     ) -> tuple[dict[str, tuple[int, ...]], float]:
         """The normal path: run the search over the active workload.
 
-        The search shares the service's model, so candidate scores for
-        any previously-seen workload composition come straight out of
-        the :class:`~repro.core.fasteval.ScoreCache`; the returned
-        score is the scalar model's ground truth for the winner.  In
-        delta mode the incremental searcher is warm-started from the
-        previous answer instead of re-searching the whole space.
+        The search shares the service's model and its
+        :class:`~repro.core.fasteval.ScoreCache`.  Candidate scores come
+        out of the cache only when the same apps are active in the same
+        admission order as in an earlier search (the cache key is the
+        ordered spec tuple); replacement churn of a larger app pool
+        seldom recreates that, so a full-mode re-optimization usually
+        scores the whole space afresh.  The returned score is the
+        scalar model's ground truth for the winner.  In delta mode the
+        incremental searcher is warm-started from the previous answer
+        instead of re-searching the whole space.
         """
         if self.delta is not None:
             outcome = self.delta.search(

@@ -11,8 +11,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.candidates import CandidateSpace
-from repro.core.policies import (
+from repro.core.candidates import (
+    CandidateSpace,
     enumerate_symmetric_allocations,
     symmetric_counts_tensor,
 )
@@ -101,6 +101,17 @@ class TestSymmetricSubspace:
             )
         ]
         assert ours == theirs
+
+    def test_tensor_is_memoised_read_only(self, paper_machine):
+        tensor = CandidateSpace(paper_machine, 4).symmetric_tensor()
+        assert CandidateSpace(paper_machine, 4).symmetric_tensor() is tensor
+        assert symmetric_counts_tensor(paper_machine, 4) is tensor
+        with pytest.raises(ValueError):
+            tensor[0, 0, 0] = 1
+        partial = CandidateSpace(paper_machine, 4).symmetric_tensor(
+            require_full=False
+        )
+        assert partial is not tensor and not partial.flags.writeable
 
 
 class TestThreadMoves:

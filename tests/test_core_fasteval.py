@@ -1,5 +1,7 @@
 """The batched/cached evaluation engine: parity, caching, search paths."""
 
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -7,12 +9,17 @@ from hypothesis import strategies as st
 
 from repro.core.allocation import ThreadAllocation
 from repro.core.bwshare import RemainderRule
+from repro.core.candidates import (
+    enumerate_symmetric_allocations,
+    symmetric_counts_tensor,
+)
 from repro.core.fasteval import (
     FastEvaluator,
     ModelTables,
     ScoreCache,
     as_counts_batch,
     batched_app_gflops,
+    row_keys,
     workload_fingerprint,
 )
 from repro.core.model import NumaPerformanceModel
@@ -24,10 +31,6 @@ from repro.core.optimizer import (
     min_app_gflops,
     total_gflops,
     weighted_gflops,
-)
-from repro.core.policies import (
-    enumerate_symmetric_allocations,
-    symmetric_counts_tensor,
 )
 from repro.core.spec import AppSpec, Placement
 from repro.errors import ModelError, OversubscriptionError
@@ -202,6 +205,121 @@ class TestScoreCache:
     def test_invalid_maxsize(self):
         with pytest.raises(ModelError):
             ScoreCache(maxsize=0)
+
+
+class _PerRowLRU:
+    """The cache's reference semantics: one dict operation per row."""
+
+    def __init__(self, maxsize):
+        self.maxsize = maxsize
+        self.hits = 0
+        self.misses = 0
+        self.data = OrderedDict()
+
+    def get(self, key):
+        row = self.data.get(key)
+        if row is None:
+            self.misses += 1
+            return None
+        self.data.move_to_end(key)
+        self.hits += 1
+        return row
+
+    def put(self, key, row):
+        self.data[key] = row
+        self.data.move_to_end(key)
+        while len(self.data) > self.maxsize:
+            self.data.popitem(last=False)
+
+
+def _row_value(workload, row):
+    return np.array([float(row), float(len(workload)), 0.5])
+
+
+#: Batches over two workloads and a handful of rows: repeats inside a
+#: batch, hits from earlier batches and evictions all happen often.
+_batches = st.lists(
+    st.tuples(
+        st.sampled_from(["w", "ww"]),
+        st.lists(st.integers(0, 6), min_size=1, max_size=10),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestBatchedRoundTrip:
+    """``lookup`` + ``store`` of a batch behave exactly like a ``get``
+    of every row followed by a ``put`` of every miss."""
+
+    @staticmethod
+    def _round_trip(cache, workload, rows):
+        missed, found = cache.lookup((workload,), rows)
+        values = np.array([_row_value(workload, rows[i]) for i in missed])
+        if missed:
+            cache.store((workload,), [rows[i] for i in missed], values)
+        out, hits, misses = [], iter(found), iter(values)
+        for i in range(len(rows)):
+            out.append(next(misses) if i in missed else next(hits))
+        return out
+
+    @staticmethod
+    def _per_row(cache, workload, rows):
+        out = [cache.get((workload, row)) for row in rows]
+        for row, value in zip(rows, out):
+            if value is None:
+                cache.put((workload, row), _row_value(workload, row))
+        return [
+            _row_value(workload, row) if value is None else value
+            for row, value in zip(rows, out)
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(maxsize=st.integers(1, 12), batches=_batches)
+    def test_batches_match_per_row_get_and_put(self, maxsize, batches):
+        batched = ScoreCache(maxsize)
+        per_row = ScoreCache(maxsize)
+        reference = _PerRowLRU(maxsize)
+        for workload, rows in batches:
+            got = self._round_trip(batched, workload, rows)
+            one_by_one = self._per_row(per_row, workload, rows)
+            want = self._per_row(reference, workload, rows)
+            for a, b, c in zip(got, one_by_one, want):
+                assert np.array_equal(a, c) and np.array_equal(b, c)
+            assert batched.keys() == per_row.keys() == list(reference.data)
+            assert len(batched) == len(reference.data) <= maxsize
+        assert (batched.hits, batched.misses) == (
+            reference.hits,
+            reference.misses,
+        )
+        assert (per_row.hits, per_row.misses) == (
+            reference.hits,
+            reference.misses,
+        )
+
+    def test_prefixes_without_rows_are_dropped(self):
+        cache = ScoreCache(maxsize=2)
+        cache.store(("old",), [1, 2], np.zeros((2, 1)))
+        cache.store(("new",), [1, 2], np.ones((2, 1)))
+        assert cache.keys() == [("new", 1), ("new", 2)]
+        assert list(cache._prefixes) == [("new",)]
+        assert cache.get(("old", 1)) is None
+
+    def test_stored_rows_are_read_only(self):
+        cache = ScoreCache()
+        cache.store(("w",), [b"a", b"b"], np.arange(4.0).reshape(2, 2))
+        _, (row,) = cache.lookup(("w",), [b"b"])
+        assert np.array_equal(row, [2.0, 3.0])
+        with pytest.raises(ValueError):
+            row[0] = 9.0
+
+    def test_row_keys_are_the_rows_bytes(self):
+        counts = np.arange(24, dtype=np.int64).reshape(3, 2, 4)
+        assert row_keys(counts) == [c.tobytes() for c in counts]
+        assert row_keys(counts[:, :, ::2]) == [
+            c.tobytes() for c in counts[:, :, ::2]
+        ]
+        assert row_keys(counts[:0]) == []
 
 
 class TestModelCache:
@@ -512,3 +630,52 @@ class TestFingerprintProperties:
             assert scores[0, idx] == pytest.approx(
                 scores_shuffled[0, jdx], rel=1e-9
             )
+
+
+_CACHE_APPS = [
+    AppSpec.memory_bound("mem", 0.5),
+    AppSpec.compute_bound("cpu", 8.0),
+    AppSpec.numa_bad("bad", 1.0, home_node=1),
+]
+_CACHE_SPACE = symmetric_counts_tensor(_MACHINE, len(_CACHE_APPS))
+_UNCACHED = NumaPerformanceModel(cache_size=0)
+_space_rows = st.lists(
+    st.integers(0, len(_CACHE_SPACE) - 1), min_size=1, max_size=24
+)
+
+
+class TestCachedScoresAreExact:
+    """Cached ``predict_scores`` output is byte-for-byte the uncached
+    kernel's, whichever rows hit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cache_size=st.sampled_from([1, 4, 65536]),
+        first=_space_rows,
+        fresh=_space_rows,
+    )
+    def test_all_hit_all_miss_and_mixed_batches(
+        self, cache_size, first, fresh
+    ):
+        model = NumaPerformanceModel(cache_size=cache_size)
+        # all miss, then (up to evictions) all hit, then mixed.
+        for rows in (first, first, first + fresh):
+            counts = _CACHE_SPACE[rows]
+            got = model.predict_scores(_MACHINE, _CACHE_APPS, counts)
+            want = _UNCACHED.predict_scores(_MACHINE, _CACHE_APPS, counts)
+            assert np.array_equal(got, want)
+            assert got.flags.writeable
+
+    def test_each_batch_kind_is_exercised(self):
+        model = NumaPerformanceModel()
+        cache = model.cache
+        for rows, hits, misses in (
+            ([0, 1, 1], 0, 3),
+            ([0, 1, 1], 3, 3),
+            ([1, 2], 4, 4),
+        ):
+            counts = _CACHE_SPACE[rows]
+            got = model.predict_scores(_MACHINE, _CACHE_APPS, counts)
+            want = _UNCACHED.predict_scores(_MACHINE, _CACHE_APPS, counts)
+            assert np.array_equal(got, want)
+            assert (cache.hits, cache.misses) == (hits, misses)

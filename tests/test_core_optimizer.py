@@ -162,7 +162,7 @@ class TestObjectiveBatched:
         import numpy as np
 
         from repro.core.allocation import ThreadAllocation
-        from repro.core.policies import symmetric_counts_tensor
+        from repro.core.candidates import symmetric_counts_tensor
 
         model = NumaPerformanceModel()
         counts = symmetric_counts_tensor(paper_machine, len(paper_apps))

@@ -5,14 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from repro.core.candidates import (
+    enumerate_node_compositions,
+    enumerate_symmetric_allocations,
+)
 from repro.core.policies import (
     EvenSharePolicy,
     NodeExclusivePolicy,
     ProportionalDemandPolicy,
     SingleAppFillPolicy,
     UnevenSharePolicy,
-    enumerate_node_compositions,
-    enumerate_symmetric_allocations,
 )
 from repro.core.spec import AppSpec
 from repro.errors import AllocationError

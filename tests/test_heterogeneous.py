@@ -54,7 +54,7 @@ class TestModel:
         assert alloc.threads_per_node.tolist() == [12, 12, 4, 4]
 
     def test_symmetric_tooling_rejects(self, machine):
-        from repro.core.policies import enumerate_symmetric_allocations
+        from repro.core.candidates import enumerate_symmetric_allocations
         from repro.core.worked import worked_example
 
         apps = [AppSpec.memory_bound("m")]

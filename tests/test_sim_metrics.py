@@ -1,58 +1,10 @@
 """Unit tests for counters, time series, and rate integrators."""
 
-import importlib
-import warnings
-
 import numpy as np
 import pytest
 
 from repro.errors import SimulationError
 from repro.obs.metrics import Counter, MetricSet, RateIntegrator, TimeSeries
-
-
-class TestDeprecatedShim:
-    def test_sim_metrics_import_warns(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            import repro.sim.metrics as shim
-
-            importlib.reload(shim)  # re-run module body even if cached
-        assert any(
-            issubclass(w.category, DeprecationWarning)
-            and "repro.obs.metrics" in str(w.message)
-            for w in caught
-        )
-
-    def test_shim_reexports_same_objects(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            import repro.sim.metrics as shim
-
-        assert shim.Counter is Counter
-        assert shim.MetricSet is MetricSet
-        assert shim.RateIntegrator is RateIntegrator
-        assert shim.TimeSeries is TimeSeries
-
-    def test_shim_surface_is_exactly_obs_metrics(self):
-        """The shim re-exports obs.metrics' __all__ — nothing more."""
-        import repro.obs.metrics as obs_metrics
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            import repro.sim.metrics as shim
-
-        assert shim.__all__ == list(obs_metrics.__all__)
-        for name in shim.__all__:
-            assert getattr(shim, name) is getattr(obs_metrics, name)
-
-    def test_shim_has_no_silent_fallback(self):
-        """Unknown attributes raise instead of resolving to stale copies."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            import repro.sim.metrics as shim
-
-        with pytest.raises(AttributeError, match="repro.obs.metrics"):
-            shim.MetricRegistryV1
 
 
 class TestCounter:
