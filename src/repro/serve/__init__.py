@@ -22,12 +22,15 @@ Layering (each layer usable on its own):
 * :mod:`repro.serve.service` — the transport- and clock-agnostic core;
 * :mod:`repro.serve.client` — in-process loopback client (tests,
   examples, the tutorial);
-* :mod:`repro.serve.server` — the asyncio unix-socket daemon with
-  per-connection backpressure and graceful drain;
-* :mod:`repro.serve.gateway` — the network-facing TCP/HTTP front end
-  with admission control: connection caps, token-bucket rate limiting,
-  a bounded admission queue, idle deadlines, and graceful drain
-  (``python -m repro serve --tcp :9070``, ``docs/GATEWAY.md``);
+* :mod:`repro.serve.gateway` — the one asyncio front end: NDJSON
+  streams over a unix socket and/or TCP, plus an HTTP/1.1 adapter,
+  all under the same admission control — connection caps, token-bucket
+  rate limiting, a bounded admission queue, idle deadlines, and
+  graceful drain (``python -m repro serve --socket PATH`` or ``--tcp
+  :9070``, ``docs/GATEWAY.md``);
+* :mod:`repro.serve.server` — per-connection outbox with backpressure,
+  and :class:`~repro.serve.server.AsyncServiceClient`, the asyncio
+  stream client;
 * :mod:`repro.serve.load` — the open-loop load harness behind
   ``python -m repro load``: seeded Poisson/diurnal arrivals, latency
   percentiles, shed/retry accounting (``BENCH_serve.json``);
@@ -80,7 +83,7 @@ from repro.serve.scenarios import (
     SERVE_SCENARIOS,
     run_replay,
 )
-from repro.serve.server import AsyncServiceClient, ServiceServer
+from repro.serve.server import AsyncServiceClient
 from repro.serve.service import AllocationService, ServiceConfig
 
 __all__ = [
@@ -105,7 +108,6 @@ __all__ = [
     "ServiceConfig",
     "AllocationService",
     "ServiceClient",
-    "ServiceServer",
     "AsyncServiceClient",
     "TokenBucket",
     "GatewayConfig",

@@ -1,17 +1,20 @@
-"""Network-facing TCP/HTTP gateway with admission control.
+"""Unix-socket, TCP and HTTP listeners under one admission control.
 
-:class:`GatewayServer` puts one
-:class:`~repro.serve.service.AllocationService` behind real network
-listeners: a TCP endpoint speaking the same newline-delimited-JSON
-protocol as the unix-socket :class:`~repro.serve.server.ServiceServer`,
-plus a minimal HTTP/1.1 adapter exposing the identical command set to
-clients that cannot hold a stream open.  Where the unix-socket server
-trusts its handful of local peers, the gateway assumes *traffic*:
+:class:`GatewayServer` is the one front end of an
+:class:`~repro.serve.service.AllocationService`: stream endpoints
+speaking the newline-delimited-JSON protocol of
+:mod:`repro.serve.protocol` -- a unix socket, a TCP port, or both,
+served by one handler -- plus a minimal HTTP/1.1 adapter exposing the
+identical command set to clients that cannot hold a stream open.  The
+service runs on the event loop's clock (``loop.time()``, timers via
+``loop.call_later``; TIME001).  Every peer, local or remote, gets the
+same admission control:
 
 * **Connection limits** — at most ``max_connections`` concurrent
-  sockets (TCP and HTTP combined); the next accept is answered with an
-  ``overloaded`` :class:`~repro.serve.protocol.ErrorReply` (HTTP 503)
-  and closed, so a connection flood cannot exhaust file descriptors.
+  sockets (stream and HTTP combined); the next accept is answered with
+  an ``overloaded`` :class:`~repro.serve.protocol.ErrorReply` (HTTP
+  503) and closed, so a connection flood cannot exhaust file
+  descriptors.
 * **Token-bucket rate limiting** — commands across *all* connections
   drain one :class:`TokenBucket`; when it runs dry the command is shed
   with ``overloaded`` instead of being queued behind a burst.
@@ -22,14 +25,16 @@ trusts its handful of local peers, the gateway assumes *traffic*:
   (pair the depth with ``ServiceConfig.command_deadline`` to turn the
   bound into an explicit SLO).
 * **Per-connection deadlines** — a peer that keeps a socket open
-  without completing a line (slow-loris) is disconnected after
-  ``idle_deadline`` seconds; oversized frames are rejected with
-  ``frame-too-large`` exactly like the unix-socket transport.
+  without completing a line or an HTTP request (slow-loris) is
+  disconnected after ``idle_deadline`` seconds, and a closing
+  connection gives a peer that stopped reading the same time to take
+  its pending replies before it is aborted; oversized frames are
+  rejected with ``frame-too-large``.
 * **Graceful drain** — :meth:`GatewayServer.stop` closes the
   listeners, *finishes every already-admitted command*, then drains
   the service core (shutdown notices, journal compaction) and flushes
-  each outbox, wired into the same write-ahead-journal/recovery
-  lifecycle as :class:`~repro.serve.server.ServiceServer`.
+  each outbox, wired into the write-ahead-journal/recovery lifecycle
+  of :mod:`repro.serve.persist`.
 
 Shedding reuses the PR-8 :data:`~repro.serve.protocol.ERROR_CODES`
 table — no new codes are minted: every gateway rejection is
@@ -180,15 +185,20 @@ class GatewayConfig:
     Attributes
     ----------
     host:
-        Interface the listeners bind (default loopback).
+        Interface the TCP and HTTP listeners bind (default loopback).
     port:
         TCP port for the NDJSON listener; ``0`` picks an ephemeral
-        port (read it back from :attr:`GatewayServer.tcp_address`).
+        port (read it back from :attr:`GatewayServer.tcp_address`),
+        ``None`` skips TCP.
     http_port:
         Port for the HTTP/1.1 adapter; ``None`` (default) disables
         HTTP entirely, ``0`` picks an ephemeral port.
+    unix_path:
+        Filesystem path of a unix-socket NDJSON listener, served by the
+        same handler as TCP; ``None`` (default) binds none.  At least
+        one of ``port`` and ``unix_path`` must be set.
     max_connections:
-        Concurrent sockets (TCP + HTTP combined) before new accepts
+        Concurrent sockets (stream + HTTP combined) before new accepts
         are answered ``overloaded`` and closed.
     rate:
         Token-bucket refill in commands per second across all
@@ -203,19 +213,21 @@ class GatewayConfig:
     idle_deadline:
         Seconds a connection may sit without completing a request
         line (or an HTTP request) before it is disconnected —
-        the slow-loris bound.  ``None`` disables the deadline.
+        the slow-loris bound — and, when a stream connection closes,
+        seconds its peer gets to take the pending replies before the
+        transport is aborted.  ``None`` disables both bounds.
     max_line_bytes:
         Frame cap shared by the NDJSON listener (one request line) and
         the HTTP adapter (one header line / request body).
     outbox_limit:
-        Pushed messages buffered per TCP connection before it is
-        judged dead (same backpressure bound as the unix-socket
-        server).
+        Pushed messages buffered per stream connection before its
+        peer is judged dead and the transport is aborted.
     """
 
     host: str = "127.0.0.1"
-    port: int = 0
+    port: int | None = 0
     http_port: int | None = None
+    unix_path: str | None = None
     max_connections: int = 256
     rate: float | None = None
     burst: int = 64
@@ -225,6 +237,10 @@ class GatewayConfig:
     outbox_limit: int = 64
 
     def __post_init__(self) -> None:
+        if self.port is None and self.unix_path is None:
+            raise ServiceError(
+                "the gateway needs a stream listener: set port or unix_path"
+            )
         if self.max_connections < 1:
             raise ServiceError(
                 f"max_connections must be >= 1, got {self.max_connections}"
@@ -282,9 +298,10 @@ class _HttpError(Exception):
 
 
 class GatewayServer:
-    """TCP/HTTP front end of one allocation service under admission
-    control (connection caps, rate limiting, bounded queueing, idle
-    deadlines, graceful drain).
+    """Unix-socket, TCP and HTTP front end of one allocation service.
+
+    Every peer passes the same admission control (connection caps,
+    rate limiting, bounded queueing, idle deadlines, graceful drain).
 
     Parameters
     ----------
@@ -294,10 +311,10 @@ class GatewayServer:
         Gateway configuration; default :class:`GatewayConfig` binds an
         ephemeral loopback TCP port with no HTTP adapter.
     journal_path:
-        Optional write-ahead-journal directory.  Exactly as with the
-        unix-socket server: a non-empty directory makes :meth:`start`
-        *recover* the service before serving, and every state change
-        is journaled so the next start survives a crash.
+        Optional write-ahead-journal directory.  A non-empty directory
+        makes :meth:`start` *recover* the service before serving, and
+        every state change is journaled so the next start survives a
+        crash.
     """
 
     def __init__(
@@ -313,6 +330,8 @@ class GatewayServer:
         self.service: AllocationService | None = None
         self._tcp_server: asyncio.AbstractServer | None = None
         self._http_server: asyncio.AbstractServer | None = None
+        #: every bound listener: TCP, unix socket, HTTP.
+        self._listeners: list[asyncio.AbstractServer] = []
         self._connections: set[_Connection] = set()
         self._http_count = 0
         self._admission: asyncio.Queue | None = None
@@ -337,7 +356,7 @@ class GatewayServer:
     def tcp_address(self) -> tuple[str, int]:
         """``(host, port)`` the TCP listener actually bound."""
         if self._tcp_server is None or not self._tcp_server.sockets:
-            raise ServiceError("gateway is not started")
+            raise ServiceError("gateway has no TCP listener")
         return self._tcp_server.sockets[0].getsockname()[:2]
 
     @property
@@ -349,12 +368,12 @@ class GatewayServer:
 
     @property
     def connection_count(self) -> int:
-        """Currently open sockets (TCP + HTTP)."""
+        """Currently open sockets (stream + HTTP)."""
         return len(self._connections) + self._http_count
 
     async def start(self) -> AllocationService:
         """Bind the listeners and start dispatching; returns the core."""
-        if self._tcp_server is not None:
+        if self._listeners:
             raise ServiceError("gateway already started")
         loop = asyncio.get_running_loop()
         if self.journal_path is not None:
@@ -375,12 +394,22 @@ class GatewayServer:
             self._bucket = TokenBucket(gw.rate, gw.burst, loop.time)
         self._admission = asyncio.Queue(maxsize=gw.admission_limit)
         self._dispatcher = asyncio.ensure_future(self._dispatch())
-        self._tcp_server = await asyncio.start_server(
-            self._serve_tcp,
-            host=gw.host,
-            port=gw.port,
-            limit=gw.max_line_bytes,
-        )
+        if gw.port is not None:
+            self._tcp_server = await asyncio.start_server(
+                self._serve_stream,
+                host=gw.host,
+                port=gw.port,
+                limit=gw.max_line_bytes,
+            )
+            self._listeners.append(self._tcp_server)
+        if gw.unix_path is not None:
+            self._listeners.append(
+                await asyncio.start_unix_server(
+                    self._serve_stream,
+                    path=gw.unix_path,
+                    limit=gw.max_line_bytes,
+                )
+            )
         if gw.http_port is not None:
             self._http_server = await asyncio.start_server(
                 self._serve_http,
@@ -388,6 +417,7 @@ class GatewayServer:
                 port=gw.http_port,
                 limit=gw.max_line_bytes,
             )
+            self._listeners.append(self._http_server)
         return self.service
 
     async def stop(self, reason: str = "draining") -> None:
@@ -399,18 +429,17 @@ class GatewayServer:
         service core drain — shutdown notices to every subscribed
         session, journal compaction — and the per-connection outboxes
         flush.  A command accepted before :meth:`stop` therefore
-        always gets its real reply, never a silent drop.
+        always gets its real reply, never a silent drop — unless its
+        peer stopped reading: each flush waits at most
+        ``idle_deadline`` before the transport is aborted.
         """
-        if self._tcp_server is None:
+        if not self._listeners:
             return
         assert self.service is not None
         assert self._admission is not None
         self._draining = True
-        self._tcp_server.close()
-        await self._tcp_server.wait_closed()
-        if self._http_server is not None:
-            self._http_server.close()
-            await self._http_server.wait_closed()
+        for listener in self._listeners:
+            listener.close()
         await self._admission.join()
         if self._dispatcher is not None:
             self._dispatcher.cancel()
@@ -418,18 +447,16 @@ class GatewayServer:
                 await self._dispatcher
             self._dispatcher = None
         self.service.drain(reason)
-        writers = []
-        for conn in list(self._connections):
-            conn.close_outbox()
-            if conn.writer_task is not None:
-                writers.append(conn.writer_task)
-        if writers:
-            await asyncio.gather(*writers, return_exceptions=True)
-        for conn in list(self._connections):
-            conn.writer.close()
-            with contextlib.suppress(ConnectionError):
-                await conn.writer.wait_closed()
+        await asyncio.gather(
+            *(
+                conn.close(self.gateway.idle_deadline)
+                for conn in self._connections
+            )
+        )
+        for listener in self._listeners:
+            await listener.wait_closed()
         self._connections.clear()
+        self._listeners.clear()
         self._tcp_server = None
         self._http_server = None
 
@@ -527,7 +554,7 @@ class GatewayServer:
         if item.future is not None and not item.future.done():
             item.future.set_result(reply)
 
-    # -- TCP listener ---------------------------------------------------
+    # -- stream listeners (TCP, unix socket) ----------------------------
 
     async def _reject_connection(
         self, writer: asyncio.StreamWriter, line: bytes
@@ -543,7 +570,7 @@ class GatewayServer:
         with contextlib.suppress(ConnectionError):
             await writer.wait_closed()
 
-    async def _serve_tcp(
+    async def _serve_stream(
         self,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
@@ -561,11 +588,10 @@ class GatewayServer:
                 writer, (encode_message(notice) + "\n").encode("utf-8")
             )
             return
-        conn = _Connection(reader, writer, gw.outbox_limit)
+        conn = _Connection(writer, gw.outbox_limit)
         self._connections.add(conn)
         if OBS.enabled:
             _CONNECTIONS.set(self.connection_count)
-        conn.writer_task = asyncio.ensure_future(conn.drain_outbox())
         service = self.service
         assert service is not None
         loop = asyncio.get_running_loop()
@@ -574,7 +600,7 @@ class GatewayServer:
             # by EOF, the idle deadline, or a torn frame.
             while True:  # repro: noqa[RETRY001]
                 try:
-                    line = await self._read_line(reader)
+                    line = await self._within_deadline(reader.readline())
                 except asyncio.TimeoutError:
                     # Slow-loris: the peer held the socket open without
                     # completing a line within the idle deadline.  No
@@ -627,23 +653,17 @@ class GatewayServer:
         finally:
             if conn.session_name is not None:
                 service.unsubscribe(conn.session_name)
-            conn.close_outbox()
-            if conn.writer_task is not None:
-                with contextlib.suppress(asyncio.CancelledError):
-                    await conn.writer_task
-            writer.close()
-            with contextlib.suppress(ConnectionError):
-                await writer.wait_closed()
+            await conn.close(gw.idle_deadline)
             self._connections.discard(conn)
             if OBS.enabled:
                 _CONNECTIONS.set(self.connection_count)
 
-    async def _read_line(self, reader: asyncio.StreamReader) -> bytes:
-        """One line, bounded by the idle deadline when configured."""
+    async def _within_deadline(self, read):
+        """Await one read, bounded by the idle deadline when configured."""
         deadline = self.gateway.idle_deadline
         if deadline is None:
-            return await reader.readline()
-        return await asyncio.wait_for(reader.readline(), timeout=deadline)
+            return await read
+        return await asyncio.wait_for(read, timeout=deadline)
 
     # -- HTTP adapter ---------------------------------------------------
 
@@ -712,7 +732,7 @@ class GatewayServer:
     ) -> tuple[str, str, bytes]:
         """Parse one HTTP/1.1 request head + body off the stream."""
         try:
-            request_line = await self._read_line(reader)
+            request_line = await self._within_deadline(reader.readline())
         except ValueError as exc:
             raise _HttpError(431, "request line too long") from exc
         if not request_line:
@@ -726,7 +746,7 @@ class GatewayServer:
         # the blank line, EOF, and the _MAX_HEADERS cap.
         while True:  # repro: noqa[RETRY001]
             try:
-                line = await self._read_line(reader)
+                line = await self._within_deadline(reader.readline())
             except ValueError as exc:
                 raise _HttpError(431, "header line too long") from exc
             if line in (b"\r\n", b"\n", b""):
@@ -756,7 +776,7 @@ class GatewayServer:
                     f"{self.gateway.max_line_bytes}-byte frame cap",
                 )
             try:
-                body = await reader.readexactly(length)
+                body = await self._within_deadline(reader.readexactly(length))
             except asyncio.IncompleteReadError as exc:
                 raise _HttpError(400, "body shorter than content-length") from exc
         return method, path, body

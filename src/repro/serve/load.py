@@ -452,6 +452,7 @@ class LoadReport:
             f"  shed       gateway {self.shed.get('gateway', 0)} "
             f"(rate-limited {self.shed.get('rate_limited', 0)}, "
             f"queue-full {self.shed.get('queue_full', 0)}), "
+            f"sessions-cap {self.shed.get('sessions_cap', 0)}, "
             f"service {self.shed.get('service', 0)}, "
             f"client-observed {self.shed.get('client_observed', 0)}",
             f"  service    {self.service.get('reoptimizations', 0)} "
@@ -722,6 +723,7 @@ async def _run_async(
             "delta": service.delta_reoptimizations,
             "churn_epochs": service.registry.epoch,
             "service_shed": service.shed_commands,
+            "sessions_cap": service.rejected_sessions,
             "final_sessions": len(service.registry),
         }
         await server.stop()
@@ -812,6 +814,7 @@ def run_load(
             "queue_full": server.shed - server.rate_limited,
             "rejected_connections": server.rejected_connections,
             "idle_timeouts": server.idle_timeouts,
+            "sessions_cap": counters["sessions_cap"],
             "service": counters["service_shed"],
             "client_observed": recorder.overloaded_replies,
         },

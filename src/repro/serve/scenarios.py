@@ -305,7 +305,7 @@ class ReplayDriver:
     with one rebuilt from disk mid-replay.  ``fsync`` defaults off for
     replays: a simulated in-process crash never loses buffered OS
     writes, and the DES clock should not wait on the disk (the real
-    daemon in :mod:`repro.serve.server` keeps fsync on).
+    daemon in :mod:`repro.serve.gateway` keeps fsync on).
     """
 
     def __init__(

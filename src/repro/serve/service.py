@@ -11,9 +11,9 @@ The core is transport-agnostic and clock-agnostic: it consumes decoded
 :mod:`repro.serve.protocol` messages via :meth:`handle` and emits
 pushed messages through subscriber callbacks, while *when* things
 happen is delegated to an injected ``clock()`` / ``call_later()`` pair.
-:mod:`repro.serve.server` binds it to an asyncio unix socket (loop
-time), :mod:`repro.serve.scenarios` binds it to the DES
-:class:`~repro.sim.engine.Simulator` (simulation time), and
+:mod:`repro.serve.gateway` binds it to asyncio unix-socket, TCP and
+HTTP listeners (loop time), :mod:`repro.serve.scenarios` binds it to
+the DES :class:`~repro.sim.engine.Simulator` (simulation time), and
 :class:`~repro.serve.client.ServiceClient` drives it in-process — all
 three run the *same* policy code.
 
@@ -96,6 +96,7 @@ _DELTA_REOPTIMIZATIONS = CounterHandle("serve/delta_reoptimizations")
 _RECOVERIES = CounterHandle("serve/recoveries")
 _JOURNAL_RECORDS = CounterHandle("serve/journal_records")
 _SHED = CounterHandle("serve/shed_commands")
+_REJECTED_SESSIONS = CounterHandle("serve/rejected_sessions")
 _RECOVERY_REPLAY = HistogramHandle("serve/recovery_replay_ms")
 
 
@@ -120,7 +121,8 @@ class ServiceConfig:
     max_sessions:
         Admission cap (``None`` = unbounded).  A full service answers
         ``Register`` with an :class:`~repro.serve.protocol.ErrorReply`
-        code ``overloaded`` instead of growing without bound.
+        code ``overloaded`` instead of growing without bound, counted
+        in :attr:`AllocationService.rejected_sessions`.
     mode:
         ``"full"`` re-runs the configured search from scratch on every
         re-optimization; ``"delta"`` routes churn through the
@@ -314,6 +316,8 @@ class AllocationService:
         self.recoveries = 0
         #: progress-report/query commands shed under overload.
         self.shed_commands = 0
+        #: registers refused ``overloaded`` at the ``max_sessions`` cap.
+        self.rejected_sessions = 0
         #: what :meth:`recover` read back (diagnostics for chaos tests).
         self.last_recovery: RecoveryLoad | None = None
 
@@ -403,7 +407,14 @@ class AllocationService:
                 code="draining",
             )
         now = self.clock()
-        self.registry.admit(message.app, now)
+        try:
+            self.registry.admit(message.app, now)
+        except ServiceError as exc:
+            if exc.code == "overloaded":
+                self.rejected_sessions += 1
+                if OBS.enabled:
+                    _REJECTED_SESSIONS.add()
+            raise
         self._journal_event(
             {
                 "kind": "register",

@@ -213,6 +213,7 @@ class TestRunLoad:
             "gateway",
             "rate_limited",
             "queue_full",
+            "sessions_cap",
             "service",
             "client_observed",
         ):
@@ -228,3 +229,21 @@ class TestRunLoad:
         monkeypatch.setitem(LOAD_SCENARIOS, "tiny", TINY)
         report = run_load("tiny", seed=1, max_p99_ms=0.000001)
         assert not report.passed
+
+
+class TestShedAccounting:
+    @pytest.mark.parametrize(
+        "scenario", ["open-loop-small", "open-loop-burst", "diurnal-small"]
+    )
+    def test_counted_overloaded_stages_sum_to_client_observed(
+        self, scenario
+    ):
+        # Every `overloaded` reply a client saw was counted by exactly
+        # one refusal stage: the token bucket, the admission queue, or
+        # the registry's max_sessions cap.
+        shed = run_load(scenario, seed=0).shed
+        assert shed["client_observed"] > 0
+        assert (
+            shed["rate_limited"] + shed["queue_full"] + shed["sessions_cap"]
+            == shed["client_observed"]
+        )

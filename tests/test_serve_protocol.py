@@ -153,7 +153,12 @@ class TestErrorCodes:
         import asyncio
 
         from repro.machine import model_machine
-        from repro.serve import ERROR_CODES, ServiceConfig, ServiceServer
+        from repro.serve import (
+            ERROR_CODES,
+            GatewayConfig,
+            GatewayServer,
+            ServiceConfig,
+        )
 
         mem = AppSpec.memory_bound("mem", 0.5)
         bad = AppSpec.numa_bad("bad", 1.0, home_node=0)
@@ -209,14 +214,16 @@ class TestErrorCodes:
             Register(name="x", app=AppSpec.memory_bound("x", 0.5))
         ).code
 
-        # Transport-level codes need the real socket.
+        # Transport-level codes need the real socket: the gateway's
+        # unix listener.
         socket_path = str(tmp_path / "codes.sock")
 
         async def transport():
-            server = ServiceServer(
+            server = GatewayServer(
                 ServiceConfig(machine=model_machine()),
-                socket_path,
-                max_line_bytes=1024,
+                GatewayConfig(
+                    port=None, unix_path=socket_path, max_line_bytes=1024
+                ),
             )
             await server.start()
             reader, writer = await asyncio.open_unix_connection(
