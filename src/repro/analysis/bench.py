@@ -44,8 +44,11 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 import time
 from typing import Callable, Sequence
+
+import numpy as np
 
 from repro.core.allocation import ThreadAllocation
 from repro.core.candidates import CandidateSpace, symmetric_counts_tensor
@@ -64,6 +67,7 @@ __all__ = [
     "bench_workload",
     "delta_workload",
     "effective_cpus",
+    "host_stamp",
     "run_bench",
     "format_report",
     "write_report",
@@ -130,6 +134,36 @@ def effective_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except (AttributeError, OSError):
         return os.cpu_count() or 1
+
+
+def host_stamp() -> dict:
+    """The host a bench report was measured on.
+
+    Effective CPUs (:func:`effective_cpus`), the CPU model, and the
+    Python and NumPy versions: what decides whether two reports' times
+    can be compared at all.  Both ``python -m repro bench`` and
+    ``python -m repro load`` record it as their ``host`` section.
+    """
+    return {
+        "effective_cpus": effective_cpus(),
+        "cpu_model": _cpu_model(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+
+
+def _cpu_model() -> str:
+    """The CPU's model name (Linux ``/proc/cpuinfo``, else ``platform``)."""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except OSError:
+        lines = []
+    for line in lines:
+        key, _, value = line.partition(":")
+        if key.strip() == "model name" and value.strip():
+            return value.strip()
+    return platform.processor() or platform.machine() or "unknown"
 
 
 def _parallel_worker_counts(workers: int) -> list[int]:
@@ -430,6 +464,7 @@ def run_bench(
     report = {
         "schema": "repro-bench/1",
         "mode": "smoke" if smoke else "full",
+        "host": host_stamp(),
         "machine": machine.name,
         "apps": len(apps),
         "candidates": len(allocations),
@@ -445,10 +480,13 @@ def run_bench(
 
 def format_report(report: dict) -> str:
     """Human-readable rendering of a :func:`run_bench` report."""
+    host = report["host"]
     lines = [
         f"bench on '{report['machine']}' "
         f"({report['apps']} apps, {report['candidates']} symmetric "
         f"candidates, {report['mode']} mode)",
+        f"host: {host['cpu_model']}, {host['effective_cpus']} effective "
+        f"CPUs, Python {host['python']}, NumPy {host['numpy']}",
         "",
         f"{'op':28s} {'evals/sec':>12s} {'seconds':>10s} {'speedup':>8s}",
     ]

@@ -44,6 +44,7 @@ from repro.core.bwshare import (
     NodeShare,
     RemainderRule,
     share_node_bandwidth,
+    share_bandwidth_batch,
     share_node_bandwidth_batch,
 )
 from repro.core.fasteval import (
@@ -103,6 +104,7 @@ __all__ = [
     "RemainderRule",
     "NodeShare",
     "share_node_bandwidth",
+    "share_bandwidth_batch",
     "share_node_bandwidth_batch",
     "FastEvaluator",
     "ModelTables",

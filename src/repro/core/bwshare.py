@@ -30,6 +30,7 @@ __all__ = [
     "NodeShare",
     "share_node_bandwidth",
     "share_node_bandwidth_batch",
+    "share_bandwidth_batch",
 ]
 
 #: Bandwidth below this (GB/s) is treated as zero during water-filling.
@@ -163,13 +164,45 @@ def share_node_bandwidth_batch(
     *,
     rule: RemainderRule = RemainderRule.PROPORTIONAL,
 ) -> np.ndarray:
-    """Closed-form water-fill over a batch of candidate node states.
+    """Closed-form water-fill of one node over a batch of candidates.
+
+    The one-node case of :func:`share_bandwidth_batch`: ``capacity`` has
+    shape ``(B,)``, ``demands`` ``(G,)`` and ``counts`` ``(B, G)``, and the
+    result is the ``(B, G)`` bandwidth granted to each group.  Agrees
+    with the per-thread :func:`share_node_bandwidth` (expanded over
+    groups) to within accumulated rounding (< 1e-9 on model-scale
+    inputs).
+    """
+    cap = np.asarray(capacity, dtype=float)
+    d = np.asarray(demands, dtype=float)
+    w = np.asarray(counts, dtype=float)
+    if cap.ndim != 1 or d.ndim != 1 or w.shape != (cap.shape[0], d.shape[0]):
+        raise ModelError(
+            f"inconsistent batch shapes: capacity {cap.shape}, demands "
+            f"{d.shape}, counts {w.shape}"
+        )
+    return share_bandwidth_batch(
+        cap[:, None], [num_cores], d[None], w[:, None], rule=rule
+    )[:, 0]
+
+
+def share_bandwidth_batch(
+    capacity: np.ndarray,
+    num_cores,
+    demands: np.ndarray,
+    counts: np.ndarray,
+    *,
+    rule: RemainderRule = RemainderRule.PROPORTIONAL,
+) -> np.ndarray:
+    """Closed-form water-fill of every node over a batch of candidates.
 
     The batched counterpart of :func:`share_node_bandwidth` used by the
-    fast evaluation engine (:mod:`repro.core.fasteval`).  Threads are
-    folded into *groups* of identical per-thread demand (all threads of
-    one application on one node are symmetric under the model), and the
-    iterative redistribution loop is replaced with its closed form:
+    fast evaluation engine (:mod:`repro.core.fasteval`), which arbitrates
+    all ``N`` nodes of a batch of candidate machine states in one call.
+    Threads are folded into *groups* of identical per-thread demand (all
+    threads of one application on one node are symmetric under the
+    model), and the iterative redistribution loop is replaced with its
+    closed form:
 
     * ``PROPORTIONAL`` — the iterative rule terminates after a single
       pass whenever the remainder cannot satisfy everyone (each thread's
@@ -180,86 +213,123 @@ def share_node_bandwidth_batch(
       water level: every thread receives
       ``min(d, baseline) + min(unmet, tau)`` where ``tau`` solves
       ``sum(count * min(unmet, tau)) == remaining``.  ``tau`` falls out
-      of one sort of the group demands (shared by the whole batch, since
-      the sort order of unmet demand does not depend on the baseline)
-      plus cumulative sums — no per-pass Python loop.
+      of one sort of each node's group demands (shared by the whole
+      batch, since the sort order of unmet demand does not depend on the
+      baseline) plus cumulative sums — no per-pass Python loop.
+
+    Every node is arbitrated independently; the groups are the innermost
+    axis, so each node's sums over its groups are the same contiguous
+    reductions as in a one-node call.
 
     Parameters
     ----------
     capacity:
-        Bandwidth available to local threads, shape ``(B,)`` — one entry
-        per batch element, each non-negative.
+        Bandwidth available to local threads, shape ``(B, N)`` — one
+        entry per batch element and node, each non-negative.
     num_cores:
-        Cores per node (the baseline divisor), shared by the batch.
+        Cores per node (the baseline divisor), shape ``(N,)``, shared by
+        the batch.
     demands:
-        Per-thread demand of each group (GB/s), shape ``(G,)``, shared
-        by the batch.
+        Per-thread demand of each node's groups (GB/s), shape ``(N, G)``,
+        shared by the batch.
     counts:
-        Threads per group, shape ``(B, G)``, non-negative; each row must
-        sum to at most ``num_cores``.
+        Threads per group, shape ``(B, N, G)``, non-negative; each
+        ``(b, n)`` row must sum to at most ``num_cores[n]``.
 
     Returns
     -------
     np.ndarray
-        Total bandwidth granted to each group (GB/s), shape ``(B, G)``
-        — the group's per-thread grant times its thread count.  Agrees
-        with the per-thread :func:`share_node_bandwidth` (expanded over
-        groups) to within accumulated rounding (< 1e-9 on model-scale
-        inputs).
+        Total bandwidth granted to each group (GB/s), shape ``(B, N, G)``
+        — the group's per-thread grant times its thread count.
     """
-    if num_cores <= 0:
-        raise ModelError(f"num_cores must be positive, got {num_cores}")
+    cores = np.asarray(num_cores)
     cap = np.asarray(capacity, dtype=float)
     d = np.asarray(demands, dtype=float)
-    w = np.asarray(counts, dtype=float)
-    if cap.ndim != 1 or d.ndim != 1 or w.shape != (cap.shape[0], d.shape[0]):
+    w = np.ascontiguousarray(counts, dtype=float)
+    if (
+        cap.ndim != 2
+        or d.ndim != 2
+        or cores.shape != (cap.shape[1],)
+        or d.shape[0] != cap.shape[1]
+        or w.shape != (cap.shape[0],) + d.shape
+    ):
         raise ModelError(
-            f"inconsistent batch shapes: capacity {cap.shape}, demands "
-            f"{d.shape}, counts {w.shape}"
+            f"inconsistent batch shapes: capacity {cap.shape}, num_cores "
+            f"{cores.shape}, demands {d.shape}, counts {w.shape}"
         )
+    if np.any(cores <= 0):
+        raise ModelError(f"num_cores must be positive, got {cores.tolist()}")
     if np.any(cap < 0):
         raise ModelError("capacity must be non-negative")
     if np.any(d < 0):
         raise ModelError("demands must be non-negative")
     if np.any(w < 0):
         raise ModelError("counts must be non-negative")
-    if np.any(w.sum(axis=1) > num_cores):
+    if np.any(w.sum(axis=2) > cores):
         raise ModelError(
-            f"a batch row allocates more threads than the node's "
-            f"{num_cores} cores (no-over-subscription assumption)"
+            f"a batch row allocates more threads to a node than its cores "
+            f"{cores.tolist()} (no-over-subscription assumption)"
         )
+    return _water_fill(cap, cores, d, w, rule)
 
-    baseline = cap / num_cores  # (B,)
-    per_thread = np.minimum(d[None, :], baseline[:, None])  # (B, G)
-    remaining = np.maximum(cap - (w * per_thread).sum(axis=1), 0.0)  # (B,)
-    unmet = np.maximum(d[None, :] - baseline[:, None], 0.0)  # (B, G)
-    total_unmet = (w * unmet).sum(axis=1)  # (B,)
-    satisfied = total_unmet <= remaining + _EPS  # whole batch row fits
+
+def _water_fill(
+    capacity: np.ndarray,
+    num_cores: np.ndarray,
+    demands: np.ndarray,
+    counts: np.ndarray,
+    rule: RemainderRule,
+) -> np.ndarray:
+    """:func:`share_bandwidth_batch` on inputs known to be valid.
+
+    ``counts`` must be a C-contiguous float ``(B, N, G)`` array, so the
+    sums over groups are contiguous innermost reductions.  The fast
+    evaluation kernel calls this directly: its inputs are valid by
+    construction and its counts were checked for over-subscription
+    before any block was scored.
+    """
+    w = counts
+    # A transposed view would lay the temporaries out groups-first; the
+    # sums over groups below must be contiguous innermost reductions.
+    demands = np.ascontiguousarray(demands)
+    baseline = (capacity / num_cores)[:, :, None]  # (B, N, 1)
+    per_thread = np.minimum(demands, baseline)  # (B, N, G)
+    scratch = np.multiply(w, per_thread)
+    remaining = np.maximum(capacity - scratch.sum(axis=2), 0.0)  # (B, N)
+    unmet = np.subtract(demands, baseline)
+    np.maximum(unmet, 0.0, out=unmet)  # (B, N, G)
+    total_unmet = np.multiply(w, unmet, out=scratch).sum(axis=2)
+    satisfied = total_unmet <= remaining + _EPS  # whole node fits
 
     if rule is RemainderRule.PROPORTIONAL:
         denom = np.where(total_unmet > _EPS, total_unmet, 1.0)
-        extra = remaining[:, None] * unmet / denom[:, None]
-    else:  # EVEN: find the water level tau per batch row
-        order = np.argsort(d, kind="stable")
-        us = unmet[:, order]  # ascending per row (unmet is monotone in d)
-        ws = w[:, order]
+        extra = np.multiply(remaining[:, :, None], unmet, out=scratch)
+        np.divide(extra, denom[:, :, None], out=extra)
+    else:  # EVEN: find the water level tau per batch row and node
+        order = np.argsort(demands, axis=1, kind="stable")[None]
+        # ascending per row (unmet is monotone in d)
+        us = np.take_along_axis(unmet, order, axis=2)
+        ws = np.take_along_axis(w, order, axis=2)
         weighted = ws * us
-        cum_fill = np.cumsum(weighted, axis=1)  # fill groups 0..j fully
-        cum_threads = np.cumsum(ws, axis=1)
-        threads_from = cum_threads[:, -1:] - (cum_threads - ws)  # >= j
-        # Cost of raising the level to us[:, j]: groups below j capped,
-        # everyone from j up at the level.
-        level_cost = (cum_fill - weighted) + threads_from * us
-        reachable = level_cost >= remaining[:, None] - _EPS
-        j = np.argmax(reachable, axis=1)  # first affordable level
-        rows = np.arange(cap.shape[0])
-        pool = threads_from[rows, j]
-        tau = (remaining - (cum_fill - weighted)[rows, j]) / np.where(
-            pool > 0, pool, 1.0
-        )
+        cum_fill = np.cumsum(weighted, axis=2)  # fill groups 0..j fully
+        cum_threads = np.cumsum(ws, axis=2)
+        threads_from = cum_threads[:, :, -1:] - (cum_threads - ws)  # >= j
+        # Cost of raising the level to us[..., j]: groups below j
+        # capped, everyone from j up at the level.
+        below = cum_fill - weighted
+        level_cost = below + threads_from * us
+        reachable = level_cost >= remaining[:, :, None] - _EPS
+        j = np.argmax(reachable, axis=2)[:, :, None]  # first affordable
+        pool = np.take_along_axis(threads_from, j, axis=2)[:, :, 0]
+        tau = (
+            remaining - np.take_along_axis(below, j, axis=2)[:, :, 0]
+        ) / np.where(pool > 0, pool, 1.0)
         tau = np.maximum(tau, 0.0)
-        extra_sorted = np.minimum(us, tau[:, None])
-        extra = np.empty_like(extra_sorted)
-        extra[:, order] = extra_sorted
-    extra = np.where(satisfied[:, None], unmet, extra)
-    return w * (per_thread + extra)
+        extra = scratch
+        np.put_along_axis(
+            extra, order, np.minimum(us, tau[:, :, None]), axis=2
+        )
+    np.copyto(extra, unmet, where=satisfied[:, :, None])
+    per_thread += extra
+    per_thread *= w
+    return per_thread

@@ -16,11 +16,15 @@ layers:
    per-thread routing tensor, demand and peak matrices, link and
    capacity vectors.  Built once per workload, cached by fingerprint.
 2. **Batched evaluation** — :func:`batched_app_gflops` runs phase 1
-   (remote/link capping) and phase 2 (baseline + water-fill, using the
-   closed-form :func:`~repro.core.bwshare.share_node_bandwidth_batch`)
+   (remote/link capping, over the apps that read another node's
+   memory) and phase 2 (baseline + water-fill of every node at once,
+   the closed form of :func:`~repro.core.bwshare.share_bandwidth_batch`)
    over a whole ``(B, apps, nodes)`` tensor of candidate allocations
-   with NumPy, producing per-app GFLOPS for every candidate without
-   creating a single dataclass.
+   with NumPy, in cache-sized row blocks, producing per-app GFLOPS for
+   every candidate without creating a single dataclass.  Its floats
+   are bit-identical to the dense form it replaced, which routed every
+   app through a ``(B, apps, nodes, nodes)`` tensor and water-filled one
+   node at a time (``tests/test_core_kernel_identity.py``).
 3. **Memoisation** — :class:`ScoreCache` is a bounded LRU keyed by
    ``(workload fingerprint, counts bytes)``.  Hill climbing and
    annealing revisit the same allocations constantly; a revisit costs
@@ -47,7 +51,7 @@ from typing import Callable, Hashable, Sequence
 import numpy as np
 
 from repro.core.allocation import ThreadAllocation
-from repro.core.bwshare import RemainderRule, share_node_bandwidth_batch
+from repro.core.bwshare import RemainderRule, _water_fill
 from repro.core.spec import AppSpec, Placement
 from repro.errors import ModelError, OversubscriptionError
 from repro.machine.topology import MachineTopology
@@ -91,7 +95,11 @@ class ModelTables:
 
     All arrays are constant across candidates, so building them once per
     workload removes the Python-loop tensor assembly from the
-    per-candidate cost.  Shapes use ``A`` = apps, ``N`` = nodes.
+    per-candidate cost.  Shapes use ``A`` = apps, ``N`` = nodes.  The
+    fields are all a worker process needs: :mod:`repro.core.parallel`
+    ships them over shared memory and rebuilds the tables from them.
+    What the kernel derives from them (which apps read remote memory)
+    is recomputed on first use, not stored as a field.
 
     Attributes
     ----------
@@ -124,6 +132,11 @@ class ModelTables:
     node_capacity: np.ndarray
     cores_per_node: np.ndarray
     key: tuple
+
+    @functools.cached_property
+    def _remote(self) -> "_RemoteApps":
+        """The apps that read another node's memory (:class:`_RemoteApps`)."""
+        return _RemoteApps.of(self.route_per_thread)
 
     @classmethod
     def build(
@@ -163,6 +176,55 @@ class ModelTables:
         )
 
 
+@dataclass(frozen=True)
+class _RemoteApps:
+    """The apps of a workload with a non-zero off-diagonal route.
+
+    Only these apps take part in the model's phase 1: a NUMA-perfect
+    app draws on its own node's memory alone.  A single-node app reads
+    one memory column, its home; an interleaved app reads several.
+
+    Attributes
+    ----------
+    apps:
+        ``(R,)`` — the remote apps' indices, in app order.
+    route_per_thread:
+        ``(R, N, N)`` — their rows of
+        :attr:`ModelTables.route_per_thread`.
+    single:
+        ``(r, app, home)`` of each remote app that reads one column.
+    spread:
+        ``(S,)`` — positions ``r`` of the remote apps that read several
+        columns.
+    spread_apps:
+        ``(S,)`` — the app indices at those positions.
+    """
+
+    apps: np.ndarray
+    route_per_thread: np.ndarray
+    single: tuple
+    spread: np.ndarray
+    spread_apps: np.ndarray
+
+    @classmethod
+    def of(cls, route_per_thread: np.ndarray) -> "_RemoteApps":
+        """Classify the apps of an ``(A, N, N)`` per-thread route table."""
+        off_diagonal = route_per_thread.copy()
+        diagonal = np.arange(off_diagonal.shape[1])
+        off_diagonal[:, diagonal, diagonal] = 0.0
+        apps = np.flatnonzero(off_diagonal.any(axis=(1, 2)))
+        routes = route_per_thread[apps]
+        single, spread = [], []
+        for r, app in enumerate(apps):
+            columns = np.flatnonzero(routes[r].any(axis=0))
+            if len(columns) == 1:
+                single.append((r, int(app), int(columns[0])))
+            else:
+                spread.append(r)
+        spread = np.array(spread, dtype=np.intp)
+        return cls(apps, routes, tuple(single), spread, apps[spread])
+
+
 def as_counts_batch(
     allocations, n_apps: int, n_nodes: int
 ) -> np.ndarray:
@@ -192,14 +254,29 @@ def as_counts_batch(
             f"got {counts.shape}"
         )
     if not np.issubdtype(counts.dtype, np.integer):
-        rounded = np.rint(counts)
-        if not np.allclose(counts, rounded):
+        # Exact integers only: the cast must round-trip every value
+        # (a fraction, NaN, an infinity or an out-of-range value fails).
+        with np.errstate(invalid="ignore"):
+            exact = counts.astype(np.int64)
+        if not np.array_equal(exact, counts):
             raise ModelError("thread counts must be integers")
-        counts = rounded
+        counts = exact
     counts = counts.astype(np.int64, copy=False)
     if np.any(counts < 0):
         raise ModelError("thread counts must be non-negative")
     return counts
+
+
+def _sum_axis1(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=1)`` as in-order slice adds: ``(0 + x0) + x1 + ...``.
+
+    The same terms in the same order as NumPy's reduction over a
+    non-innermost axis, without its per-call set-up.
+    """
+    total = np.zeros(x.shape[:1] + x.shape[2:], dtype=x.dtype)
+    for i in range(x.shape[1]):
+        total += x[:, i]
+    return total
 
 
 def check_oversubscription(
@@ -212,7 +289,7 @@ def check_oversubscription(
     batch raises the *same* error with the same message regardless of
     the worker count — and never counts as a parallel fallback.
     """
-    per_node = counts.sum(axis=1)  # (B, N)
+    per_node = _sum_axis1(counts)  # (B, N)
     over = per_node > tables.cores_per_node[None, :]
     if np.any(over):
         b, n = np.argwhere(over)[0]
@@ -220,6 +297,18 @@ def check_oversubscription(
             f"candidate {b}: node {n} gets {per_node[b, n]} threads but "
             f"has only {tables.cores_per_node[n]} cores"
         )
+
+
+#: Float64 elements in one ``(rows, A, N)`` temporary of a row block.
+_BLOCK_ELEMENTS = 1 << 14
+
+
+def _block_rows(n_apps: int, n_nodes: int) -> int:
+    """Rows the kernel scores at a time: ``_BLOCK_ELEMENTS // (A * N)``.
+
+    Keeps every temporary cache-sized whatever the batch size.
+    """
+    return max(1, _BLOCK_ELEMENTS // max(n_apps * n_nodes, 1))
 
 
 def batched_app_gflops(
@@ -235,64 +324,111 @@ def batched_app_gflops(
     :meth:`repro.core.model.NumaPerformanceModel.predict` (summed over
     each app's groups) to within 1e-9.
 
+    The whole batch is checked for over-subscription first; then rows
+    are scored in blocks of :func:`_block_rows`.  Every row is
+    independent, so the blocks change no bit of the result, and every
+    float is the same as the dense form's (see :func:`_score_block`).
+
     Raises
     ------
     OversubscriptionError
         If any candidate puts more threads on a node than it has cores.
     """
     check_oversubscription(tables, counts)
-    cf = counts.astype(float)
-    n_nodes = tables.link.shape[0]
-    # Routing tensor: route[b, a, s, m] = demand app a's threads on s
-    # place on memory m.
-    route = cf[:, :, :, None] * tables.route_per_thread[None]
-    remote_demand = route.sum(axis=1)  # (B, S, M)
-
-    # Phase 1 — remote service: cap each foreign flow by its link, then
-    # scale flows into a node down proportionally if they exceed the
-    # node's bandwidth.
-    off_diagonal = ~np.eye(n_nodes, dtype=bool)
-    served = np.minimum(remote_demand, tables.link[None]) * off_diagonal
-    total_remote = served.sum(axis=1)  # (B, M)
-    over_cap = total_remote > tables.node_capacity[None, :]
-    scale = np.where(
-        over_cap,
-        tables.node_capacity[None, :] / np.where(over_cap, total_remote, 1.0),
-        1.0,
-    )
-    served *= scale[:, None, :]
-
-    # Split each served flow among its contributing groups in proportion
-    # to their demand.
-    ratio = np.divide(
-        served,
-        remote_demand,
-        out=np.zeros_like(served),
-        where=remote_demand > 0,
-    )
-    remote_grant = np.einsum("basm,bsm->bas", route, ratio)
-
-    # Phase 2 — local arbitration on what remains of each node.
-    remote_served = served.sum(axis=1)  # (B, M)
-    capacity = np.maximum(
-        tables.node_capacity[None, :] - remote_served, 0.0
-    )
-    local_grant = np.empty_like(remote_grant)  # (B, A, N)
-    for m in range(n_nodes):
-        local_grant[:, :, m] = share_node_bandwidth_batch(
-            capacity[:, m],
-            int(tables.cores_per_node[m]),
-            tables.local_demand[:, m],
-            cf[:, :, m],
-            rule=rule,
+    batch, n_apps, n_nodes = counts.shape
+    rows = _block_rows(n_apps, n_nodes)
+    if batch <= rows:
+        return _score_block(tables, counts, rule)
+    out = np.empty((batch, n_apps))
+    for lo in range(0, batch, rows):
+        out[lo : lo + rows] = _score_block(
+            tables, counts[lo : lo + rows], rule
         )
+    return out
 
-    bandwidth = local_grant + remote_grant  # (B, A, S)
-    gflops = np.minimum(
-        bandwidth * tables.intensity[None, :, None],
-        tables.peak_per_thread[None] * cf,
+
+def _score_block(
+    tables: ModelTables, counts: np.ndarray, rule: RemainderRule
+) -> np.ndarray:
+    """:func:`batched_app_gflops` of one row block, ``(b, A, N) -> (b, A)``.
+
+    Bit for bit the arithmetic of the dense form, which routes every app
+    through a ``(b, A, N, N)`` tensor and water-fills one node at a time
+    (``tests/test_core_kernel_identity.py`` keeps it as the reference).
+    Only terms that are exact zeros there are dropped, and no sum
+    changes its order:
+
+    * Phase 1 routes only the remote apps (:class:`_RemoteApps`).  A
+      NUMA-perfect app's routes off the diagonal are 0.0 and a diagonal
+      flow is never served, so it adds 0.0 to every flow and is granted
+      exactly 0.0 remote bandwidth.
+    * A single-node app's grant is its one non-zero product.  An
+      interleaved app's grant keeps the dense form's ``np.einsum``,
+      whose grouping of the products is NumPy's own.
+    * Scaling a flow by 1.0, or dividing an unserved 0.0 by 1.0, changes
+      no bit.
+    * Sums over an outer axis are in-order slice adds (:func:`_sum_axis1`).
+      Sums over an innermost axis (the water-fill's over apps, the final
+      one over nodes) keep their axis, length and contiguity, because
+      NumPy groups those terms by length.
+    """
+    cf = counts.astype(float)  # (b, A, N)
+    batch, n_apps, n_nodes = cf.shape
+    capacity = tables.node_capacity
+    remote = tables._remote
+    if remote.apps.size:
+        # Routing tensor of the remote apps: route[b, r, s, m] = demand
+        # app r's threads on s place on memory m.
+        route = (
+            np.take(cf, remote.apps, axis=1)[:, :, :, None]
+            * remote.route_per_thread
+        )
+        remote_demand = _sum_axis1(route)  # (b, S, M)
+
+        # Phase 1 — remote service: cap each foreign flow by its link,
+        # then scale flows into a node down proportionally if they
+        # exceed the node's bandwidth.
+        served = np.minimum(remote_demand, tables.link)
+        diagonal = np.arange(n_nodes)
+        served[:, diagonal, diagonal] = 0.0
+        total_remote = _sum_axis1(served)  # (b, M)
+        over_cap = total_remote > capacity
+        if over_cap.any():  # a scale of 1.0 changes no bit
+            scale = np.where(
+                over_cap, capacity / np.where(over_cap, total_remote, 1.0), 1.0
+            )
+            served *= scale[:, None, :]
+
+        # Split each served flow among its contributing groups in
+        # proportion to their demand.  A flow nobody demands is served
+        # 0.0, so dividing it by 1.0 instead gives the ratio 0.0.
+        ratio = served / np.where(remote_demand > 0, remote_demand, 1.0)
+        capacity = np.maximum(capacity - _sum_axis1(served), 0.0)  # (b, M)
+    else:
+        capacity = np.broadcast_to(capacity, (batch, n_nodes))
+
+    # Phase 2 — local arbitration on what remains of each node: every
+    # node in one water-fill over (b, N, A).
+    local_grant = _water_fill(
+        capacity,
+        tables.cores_per_node,
+        tables.local_demand.T,
+        np.ascontiguousarray(cf.transpose(0, 2, 1)),
+        rule,
     )
-    return gflops.sum(axis=2)
+    bandwidth = np.ascontiguousarray(local_grant.transpose(0, 2, 1))
+    # Plus each remote app's share of the served flows (b, A, S).  An
+    # interleaved app's grant sums its products over memories; a
+    # single-node app has one non-zero product, at its home column.
+    if remote.spread.size:
+        bandwidth[:, remote.spread_apps] += np.einsum(
+            "brsm,bsm->brs", route[:, remote.spread], ratio
+        )
+    for r, app, home in remote.single:
+        bandwidth[:, app] += route[:, r, :, home] * ratio[:, :, home]
+    bandwidth *= np.repeat(tables.intensity[:, None], n_nodes, axis=1)
+    cf *= tables.peak_per_thread
+    return np.minimum(bandwidth, cf, out=bandwidth).sum(axis=2)
 
 
 class _Prefix:

@@ -80,6 +80,7 @@ _CONNECTIONS = GaugeHandle("gateway/connections")
 _COMMANDS = CounterHandle("gateway/commands")
 _SHED = CounterHandle("gateway/shed")
 _RATE_LIMITED = CounterHandle("gateway/rate_limited")
+_QUEUE_FULL = CounterHandle("gateway/queue_full")
 _REJECTED = CounterHandle("gateway/rejected_connections")
 _IDLE_TIMEOUTS = CounterHandle("gateway/idle_timeouts")
 _HTTP_REQUESTS = CounterHandle("gateway/http_requests")
@@ -345,6 +346,9 @@ class GatewayServer:
         self.shed = 0
         #: subset of :attr:`shed` refused by the token bucket.
         self.rate_limited = 0
+        #: subset of :attr:`shed` refused because the admission queue
+        #: was full.
+        self.queue_full = 0
         #: connects refused at the ``max_connections`` cap.
         self.rejected_connections = 0
         #: connections dropped at the ``idle_deadline`` (slow-loris).
@@ -507,6 +511,9 @@ class GatewayServer:
         try:
             self._admission.put_nowait(item)
         except asyncio.QueueFull:
+            self.queue_full += 1
+            if OBS.enabled:
+                _QUEUE_FULL.add()
             return self._shed_reply(
                 message,
                 f"admission queue full "

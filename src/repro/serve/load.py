@@ -405,6 +405,7 @@ class LoadReport:
     shed: dict = field(default_factory=dict)
     service: dict = field(default_factory=dict)
     slo: dict = field(default_factory=dict)
+    host: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -418,6 +419,7 @@ class LoadReport:
             "scenario": self.scenario,
             "seed": self.seed,
             "transport": self.transport,
+            "host": dict(self.host),
             "wall_seconds": self.wall_seconds,
             "sessions": dict(self.sessions),
             "commands": dict(self.commands),
@@ -438,6 +440,10 @@ class LoadReport:
             f"(seed {self.seed}, {self.transport}) — "
             f"{self.wall_seconds:.2f} s wall",
             "",
+            f"  host       {self.host.get('cpu_model', 'not recorded')}, "
+            f"{self.host.get('effective_cpus', '?')} effective CPUs, "
+            f"Python {self.host.get('python', '?')}, "
+            f"NumPy {self.host.get('numpy', '?')}",
             f"  sessions   target {self.sessions.get('target', 0)}, "
             f"admitted {self.sessions.get('admitted', 0)}, "
             f"completed {self.sessions.get('completed', 0)}, "
@@ -785,6 +791,10 @@ def run_load(
         and recorder.admitted >= scenario.min_admitted
     )
     reopts = counters["reoptimizations"]
+    # Imported here: the analysis package is heavy, and the service
+    # process imports this module through repro.serve.
+    from repro.analysis.bench import host_stamp
+
     return LoadReport(
         scenario=scenario.name,
         seed=seed,
@@ -811,7 +821,7 @@ def run_load(
         shed={
             "gateway": server.shed,
             "rate_limited": server.rate_limited,
-            "queue_full": server.shed - server.rate_limited,
+            "queue_full": server.queue_full,
             "rejected_connections": server.rejected_connections,
             "idle_timeouts": server.idle_timeouts,
             "sessions_cap": counters["sessions_cap"],
@@ -834,4 +844,5 @@ def run_load(
             "min_admitted": scenario.min_admitted,
             "passed": passed,
         },
+        host=host_stamp(),
     )

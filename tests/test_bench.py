@@ -16,6 +16,7 @@ from repro.analysis.bench import (
     delta_workload,
     effective_cpus,
     format_report,
+    host_stamp,
     run_bench,
     write_report,
 )
@@ -106,6 +107,14 @@ class TestRunBench:
         text = format_report(report)
         assert "delta/steady_state" in text
         assert "steady-state delta re-optimization" in text
+
+    def test_report_records_its_host(self, report):
+        host = report["host"]
+        assert host == host_stamp()
+        assert host["effective_cpus"] == effective_cpus()
+        for key in ("cpu_model", "numpy", "python"):
+            assert isinstance(host[key], str) and host[key]
+        assert f"host: {host['cpu_model']}" in format_report(report)
 
     def test_no_parallel_section_without_workers(self, report):
         assert "parallel" not in report

@@ -162,6 +162,14 @@ class TestAsCountsBatch:
         assert out.dtype == np.int64
         assert np.all(out == 2)
 
+    @pytest.mark.parametrize(
+        "value", [2.00001, 1e6 + 0.4, np.inf, -np.inf, np.nan, 1e30]
+    )
+    def test_non_integers_are_rejected(self, value):
+        # Values a relative tolerance would round: the check is exact.
+        with pytest.raises(ModelError, match="must be integers"):
+            as_counts_batch(np.full((1, 2, 2), value), 2, 2)
+
 
 class TestSymmetricCountsTensor:
     def test_matches_enumeration_order(self, paper_machine, paper_apps):

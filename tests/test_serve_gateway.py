@@ -26,6 +26,7 @@ import repro
 from repro.core import AppSpec
 from repro.errors import ServiceError
 from repro.machine import model_machine
+from repro.obs import capture
 from repro.serve import (
     Ack,
     AllocationUpdate,
@@ -601,6 +602,39 @@ class TestAdmissionQueue:
 
         run(scenario())
 
+    def test_queue_overflow_is_counted_queue_full(self):
+        gateway = make_gateway(admission_limit=1)
+
+        async def scenario():
+            await gateway.start()
+            gateway._dispatcher.cancel()
+            try:
+                await gateway._dispatcher
+            except asyncio.CancelledError:
+                pass
+            reader, writer = await connect(gateway)
+            with capture() as cap:
+                for _ in range(3):
+                    writer.write(
+                        (
+                            encode_message(Register(name="mem", app=MEM))
+                            + "\n"
+                        ).encode("utf-8")
+                    )
+                await writer.drain()
+                assert await until(lambda: gateway.shed == 2)
+            # One register queued, the other two refused by the queue.
+            assert gateway.queue_full == 2
+            assert gateway.rate_limited == 0
+            assert cap.metrics.counter("gateway/queue_full").value == 2
+            gateway._dispatcher = asyncio.ensure_future(
+                gateway._dispatch()
+            )
+            writer.close()
+            await gateway.stop()
+
+        run(scenario())
+
 
 class TestDrain:
     def test_inflight_commands_are_answered_before_shutdown(self, make):
@@ -683,6 +717,37 @@ class TestDrain:
             assert isinstance(reply, ErrorReply)
             assert reply.code == "draining"
             assert gateway.shed == 1
+            writer.close()
+            await gateway.stop()
+
+        run(scenario())
+
+    def test_draining_sheds_are_not_counted_queue_full(self, make):
+        gateway = make()
+
+        async def scenario():
+            await gateway.start()
+            reader, writer = await connect(gateway)
+            assert await until(lambda: gateway.connection_count == 1)
+            gateway._draining = True
+            for _ in range(3):
+                writer.write(
+                    (
+                        encode_message(Register(name="mem", app=MEM))
+                        + "\n"
+                    ).encode("utf-8")
+                )
+            await writer.drain()
+            for _ in range(3):
+                line = await asyncio.wait_for(
+                    reader.readline(), timeout=5.0
+                )
+                assert decode_message(line.decode("utf-8")).code == (
+                    "draining"
+                )
+            assert gateway.shed == 3
+            assert gateway.queue_full == 0
+            assert gateway.rate_limited == 0
             writer.close()
             await gateway.stop()
 

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from repro.analysis.bench import host_stamp
 from repro.errors import ServiceError
 from repro.serve import LOAD_SCENARIOS, LoadScenario, run_load
 from repro.serve.gateway import TokenBucket
@@ -224,6 +225,13 @@ class TestRunLoad:
         assert json.loads(report.to_json()) == data
         assert "sessions" in report.format()
         assert report.passed
+
+    def test_report_records_its_host(self, monkeypatch):
+        monkeypatch.setitem(LOAD_SCENARIOS, "tiny", TINY)
+        report = run_load("tiny", seed=1)
+        host = report.to_dict()["host"]
+        assert host == host_stamp()
+        assert f"host       {host['cpu_model']}" in report.format()
 
     def test_gate_override_fails_an_impossible_slo(self, monkeypatch):
         monkeypatch.setitem(LOAD_SCENARIOS, "tiny", TINY)
