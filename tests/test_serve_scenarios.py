@@ -56,6 +56,33 @@ class TestPresets:
             run_replay("churn-nonexistent")
 
 
+#: ``(cache_hits, cache_misses)`` of every replay at seed 0, per mode.
+#: A whole-space search is stored as one cache entry, not one per row;
+#: these counts pin that the change is invisible to every replay.
+_CACHE_COUNTS = {
+    ("churn-basic", "full"): (0, 274),
+    ("churn-basic", "delta"): (34, 289),
+    ("churn-burst", "full"): (0, 166),
+    ("churn-burst", "delta"): (0, 166),
+    ("churn-stale", "full"): (45, 55),
+    ("churn-stale", "delta"): (64, 55),
+    ("churn-cache", "full"): (54, 55),
+    ("churn-cache", "delta"): (80, 58),
+    ("serve-crash-restart", "full"): (0, 63),
+    ("serve-crash-restart", "delta"): (29, 63),
+}
+
+
+class TestCacheCounts:
+    @pytest.mark.parametrize("name, mode", sorted(_CACHE_COUNTS))
+    def test_score_cache_counts_are_pinned(self, name, mode):
+        report = run_replay(name, seed=0, mode=mode)
+        assert report.passed, report.notes
+        assert (report.cache_hits, report.cache_misses) == _CACHE_COUNTS[
+            (name, mode)
+        ]
+
+
 class TestDeltaMode:
     @pytest.mark.parametrize("name", sorted(SERVE_SCENARIOS))
     def test_every_preset_passes_the_oracle_in_delta_mode(self, name):
