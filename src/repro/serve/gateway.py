@@ -34,7 +34,8 @@ same admission control:
   listeners, *finishes every already-admitted command*, then drains
   the service core (shutdown notices, journal compaction) and flushes
   each outbox, wired into the write-ahead-journal/recovery lifecycle
-  of :mod:`repro.serve.persist`.
+  of :mod:`repro.serve.persist`.  A socket or command that arrives
+  inside the drain window is answered ``draining``.
 
 Shedding reuses the PR-8 :data:`~repro.serve.protocol.ERROR_CODES`
 table — no new codes are minted: every gateway rejection is
@@ -563,13 +564,33 @@ class GatewayServer:
 
     # -- stream listeners (TCP, unix socket) ----------------------------
 
-    async def _reject_connection(
-        self, writer: asyncio.StreamWriter, line: bytes
-    ) -> None:
-        """Refuse a socket at the connection cap: one reply, then close."""
+    def _refusal(self) -> ErrorReply | None:
+        """Why a socket just accepted is refused, or ``None`` to serve it.
+
+        A drain in progress answers ``draining``; otherwise a socket
+        over the connection cap answers ``overloaded`` and is counted
+        (``gateway/rejected_connections`` counts only the cap).
+        """
+        if self._draining:
+            return ErrorReply(
+                error="gateway is draining; admission is closed",
+                code="draining",
+            )
+        cap = self.gateway.max_connections
+        if self.connection_count < cap:
+            return None
         self.rejected_connections += 1
         if OBS.enabled:
             _REJECTED.add()
+        return ErrorReply(
+            error=f"connection limit reached ({cap} sockets); retry later",
+            code="overloaded",
+        )
+
+    async def _reject_connection(
+        self, writer: asyncio.StreamWriter, line: bytes
+    ) -> None:
+        """Refuse a socket at accept: one reply, then close."""
         writer.write(line)
         with contextlib.suppress(ConnectionError):
             await writer.drain()
@@ -583,16 +604,10 @@ class GatewayServer:
         writer: asyncio.StreamWriter,
     ) -> None:
         gw = self.gateway
-        if self._draining or self.connection_count >= gw.max_connections:
-            notice = ErrorReply(
-                error=(
-                    f"connection limit reached "
-                    f"({gw.max_connections} sockets); retry later"
-                ),
-                code="overloaded",
-            )
+        refusal = self._refusal()
+        if refusal is not None:
             await self._reject_connection(
-                writer, (encode_message(notice) + "\n").encode("utf-8")
+                writer, (encode_message(refusal) + "\n").encode("utf-8")
             )
             return
         conn = _Connection(writer, gw.outbox_limit)
@@ -679,19 +694,13 @@ class GatewayServer:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
-        gw = self.gateway
-        if self._draining or self.connection_count >= gw.max_connections:
+        refusal = self._refusal()
+        if refusal is not None:
             await self._reject_connection(
                 writer,
                 _http_frame(
-                    503,
-                    {
-                        "error": (
-                            f"connection limit reached "
-                            f"({gw.max_connections} sockets); retry later"
-                        ),
-                        "code": "overloaded",
-                    },
+                    HTTP_STATUS[refusal.code],
+                    {"error": refusal.error, "code": refusal.code},
                 ),
             )
             return

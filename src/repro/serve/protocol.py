@@ -56,7 +56,10 @@ ERROR_CODES: dict[str, str] = {
     "unknown-session": "no session is registered under that name",
     "duplicate-session": "a live session already holds that name",
     "closed-session": "the named session already deregistered/closed",
-    "overloaded": "admission refused: the max_sessions cap is reached",
+    "overloaded": (
+        "admission refused, retry later: the connection cap, the rate "
+        "limit, the admission queue or the max_sessions cap is full"
+    ),
     "draining": "the service is shutting down; admission is closed",
     "backwards-report": "the report's timestamp went backwards",
     "no-allocation": "no allocation has been computed yet",

@@ -11,6 +11,7 @@ newer classes are parametrized over both.
 
 import asyncio
 import json
+import logging
 import os
 import select
 import signal
@@ -694,6 +695,27 @@ class TestDrain:
 
         run(scenario())
 
+    def test_connect_during_drain_window_is_answered_draining(self, make):
+        gateway = make()
+
+        async def scenario():
+            await gateway.start()
+            # Freeze the gateway inside its drain window with the
+            # listeners still open, then connect: the refusal names the
+            # drain, and it is not a connection-cap refusal.
+            gateway._draining = True
+            reader, writer = await connect(gateway)
+            line = await asyncio.wait_for(reader.readline(), timeout=5.0)
+            reply = decode_message(line.decode("utf-8"))
+            assert isinstance(reply, ErrorReply)
+            assert reply.code == "draining"
+            assert await reader.readline() == b""  # closed
+            assert gateway.rejected_connections == 0
+            writer.close()
+            await gateway.stop()
+
+        run(scenario())
+
     def test_commands_during_drain_window_are_shed_draining(self, make):
         gateway = make()
 
@@ -1003,6 +1025,24 @@ class TestHttpAdapter:
 
         run(scenario())
 
+    def test_connect_during_drain_window_is_503_draining(self):
+        gateway = self.make_http_gateway()
+
+        async def scenario():
+            await gateway.start()
+            gateway._draining = True  # listeners still open
+            host, port = gateway.http_address
+            reader, writer = await asyncio.open_connection(host, port)
+            raw = await asyncio.wait_for(reader.read(), timeout=5.0)
+            head, _, body = raw.partition(b"\r\n\r\n")
+            assert head.split()[1] == b"503"
+            assert json.loads(body)["code"] == "draining"
+            assert gateway.rejected_connections == 0
+            writer.close()
+            await gateway.stop()
+
+        run(scenario())
+
     def test_unknown_session_maps_to_404(self):
         gateway = self.make_http_gateway()
 
@@ -1020,7 +1060,8 @@ class TestHttpAdapter:
 
 
 class TestJournalRecovery:
-    def test_gateway_recovers_sessions_from_journal(self, tmp_path):
+    def test_gateway_recovers_sessions_from_journal(self, tmp_path, caplog):
+        caplog.set_level(logging.ERROR, logger="asyncio")
         journal = str(tmp_path / "journal")
 
         async def first_life():
@@ -1036,6 +1077,9 @@ class TestJournalRecovery:
             # Crash, not drain: the journal keeps the session.
             service.crash()
             writer.close()
+            # End the life with no connection handler left running, so
+            # the loop's teardown has none to cancel.
+            assert await until(lambda: gateway.connection_count == 0)
             gateway._tcp_server.close()
             await gateway._tcp_server.wait_closed()
 
@@ -1059,6 +1103,11 @@ class TestJournalRecovery:
 
         run(first_life())
         run(second_life())
+        assert not [
+            record.getMessage()
+            for record in caplog.records
+            if record.name == "asyncio" and record.levelno >= logging.ERROR
+        ]
 
 
 class TestDaemonCli:
