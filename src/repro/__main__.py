@@ -476,7 +476,11 @@ def _run_load(args) -> int:
 
 
 def _run_bench(args) -> int:
-    """Run the fast-path benchmark; exit 1 when below the speedup gate."""
+    """Run the fast-path benchmark; exit 1 when any gate fails.
+
+    Every gate is evaluated and each failing one prints its own ``FAIL``
+    line, so one failure never hides another.
+    """
     import json
 
     from repro.analysis.bench import format_report, run_bench, write_report
@@ -496,33 +500,28 @@ def _run_bench(args) -> int:
         write_report(report, args.out)
         if not args.json:
             print(f"wrote {args.out}")
+    failures = []
     speedup = report["speedups"]["search/exhaustive_fast"]
     if args.min_speedup > 0 and speedup < args.min_speedup:
-        print(
-            f"FAIL: exhaustive-search speedup {speedup:.2f}x is below "
-            f"the {args.min_speedup:.1f}x gate",
-            file=sys.stderr,
+        failures.append(
+            f"exhaustive-search speedup {speedup:.2f}x is below "
+            f"the {args.min_speedup:.1f}x gate"
         )
-        return 1
     delta_ms = report["delta"]["steady_state_ms"]
     if args.max_delta_ms > 0 and delta_ms > args.max_delta_ms:
-        print(
-            f"FAIL: steady-state delta re-optimization {delta_ms:.4f} ms "
-            f"exceeds the {args.max_delta_ms:.1f} ms gate",
-            file=sys.stderr,
+        failures.append(
+            f"steady-state delta re-optimization {delta_ms:.4f} ms "
+            f"exceeds the {args.max_delta_ms:.1f} ms gate"
         )
-        return 1
     parallel = report.get("parallel")
     if parallel is not None:
         # Byte-identity is a correctness property, not a perf number:
         # it is hard-gated whenever the parallel section ran at all.
         if not parallel["identical"]:
-            print(
-                "FAIL: a parallel search result differed from the "
-                "serial answer (byte-identity contract broken)",
-                file=sys.stderr,
+            failures.append(
+                "a parallel search result differed from the "
+                "serial answer (byte-identity contract broken)"
             )
-            return 1
         if args.min_parallel_speedup > 0:
             cpus = parallel["effective_cpus"]
             if cpus < 2:
@@ -538,14 +537,14 @@ def _run_bench(args) -> int:
                 top = max(parallel["worker_counts"])
                 pspeed = parallel["speedups"][f"exhaustive_w{top}"]
                 if pspeed < args.min_parallel_speedup:
-                    print(
-                        f"FAIL: {top}-worker exhaustive speedup "
+                    failures.append(
+                        f"{top}-worker exhaustive speedup "
                         f"{pspeed:.2f}x is below the "
-                        f"{args.min_parallel_speedup:.1f}x gate",
-                        file=sys.stderr,
+                        f"{args.min_parallel_speedup:.1f}x gate"
                     )
-                    return 1
-    return 0
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def _run_trace(target: str, export: str, out: str | None) -> None:

@@ -211,6 +211,26 @@ class TestBenchCli:
         assert code == 1
         assert "delta" in capsys.readouterr().err
 
+    def test_every_failing_gate_is_reported(self, capsys):
+        code = main(
+            [
+                "bench",
+                "--smoke",
+                "--min-speedup",
+                "1e9",
+                "--max-delta-ms",
+                "1e-9",
+            ]
+        )
+        assert code == 1
+        fails = [
+            line
+            for line in capsys.readouterr().err.splitlines()
+            if line.startswith("FAIL:")
+        ]
+        assert len(fails) == 2
+        assert "speedup" in fails[0] and "delta" in fails[1]
+
     def test_parallel_gate_requires_workers(self, capsys):
         code = main(
             ["bench", "--smoke", "--min-parallel-speedup", "1.0"]
