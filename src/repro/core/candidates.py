@@ -31,7 +31,10 @@ The symmetric subspace depends only on (cores per node, apps, nodes,
 ``require_full``), so its counts tensor is built once per size and
 shared read-only (:func:`symmetric_counts_tensor`): every exhaustive
 search and delta audit over one workload size scores the same array
-instead of re-enumerating it.
+instead of re-enumerating it.  That 4-tuple is the tensor's key
+(:meth:`CandidateSpace.symmetric_key`); a search names its batch by it,
+so the model can cache the whole space's scores as one entry
+(:func:`is_symmetric_tensor` checks the name).
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ __all__ = [
     "CandidateSpace",
     "enumerate_node_compositions",
     "enumerate_symmetric_allocations",
+    "is_symmetric_tensor",
     "symmetric_counts_tensor",
 ]
 
@@ -143,6 +147,34 @@ def symmetric_counts_tensor(
     )
 
 
+def is_symmetric_tensor(counts, key: tuple) -> bool:
+    """Whether ``counts`` is the memoised symmetric tensor of ``key``.
+
+    ``key`` is ``(cores per node, apps, nodes, require_full)``, as
+    :meth:`CandidateSpace.symmetric_key` returns it.  Identity, not
+    equality: a copy or a slice of the tensor is not it.  Only an array
+    of the key's shape is looked up in the memo, so a wrong key never
+    builds a tensor.
+    """
+    try:
+        cores, num_apps, num_nodes, require_full = key
+        size = _symmetric_size(cores, num_apps, require_full)
+        return (
+            isinstance(counts, np.ndarray)
+            and counts.shape == (size, num_apps, num_nodes)
+            and counts is _symmetric_tensor(*key)
+        )
+    except (TypeError, ValueError, AllocationError):
+        return False
+
+
+def _symmetric_size(cores: int, num_apps: int, require_full: bool) -> int:
+    """Rows of the symmetric space, by stars and bars."""
+    if require_full:
+        return math.comb(cores + num_apps - 1, num_apps - 1)
+    return math.comb(cores + num_apps, num_apps)
+
+
 @functools.lru_cache(maxsize=_TENSORS_KEPT)
 def _symmetric_tensor(
     cores: int, num_apps: int, num_nodes: int, require_full: bool
@@ -198,10 +230,9 @@ class CandidateSpace:
         ``C`` cores over ``A`` apps, or :math:`\\binom{C+A}{A}` when
         partial occupations are allowed.
         """
-        cores, apps = self.cores_per_node, self.num_apps
-        if require_full:
-            return math.comb(cores + apps - 1, apps - 1)
-        return math.comb(cores + apps, apps)
+        return _symmetric_size(
+            self.cores_per_node, self.num_apps, require_full
+        )
 
     def symmetric_allocations(self, apps, *, require_full: bool = True):
         """Iterate the symmetric subspace as ``ThreadAllocation`` objects."""
@@ -218,6 +249,18 @@ class CandidateSpace:
         """
         return symmetric_counts_tensor(
             self.machine, self.num_apps, require_full=require_full
+        )
+
+    def symmetric_key(self, *, require_full: bool = True) -> tuple:
+        """The memo key of :meth:`symmetric_tensor`.
+
+        ``(cores per node, apps, nodes, require_full)``: pass it as
+        ``space=`` to
+        :meth:`~repro.core.model.NumaPerformanceModel.predict_scores`
+        along with the tensor.
+        """
+        return (
+            self.cores_per_node, self.num_apps, self.num_nodes, require_full
         )
 
     # -- single-thread moves (asymmetric space) -------------------------

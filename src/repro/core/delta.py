@@ -43,14 +43,16 @@ the climb got stuck).  Every search opens a ``delta/search`` span.
 Scoring reuses the batched
 :meth:`~repro.core.model.NumaPerformanceModel.predict_scores` fast
 path and its persistent :class:`~repro.core.fasteval.ScoreCache`
-through the shared model.  The cache only hits when the very same
-workload returns — the same app specs in the same order, since the
-fingerprint is the ordered spec tuple — so the searcher's speed comes
-from scoring O(delta) candidates, not from the cache.  ``python -m
-repro bench`` clears the cache before it times (and gates) the
-sub-millisecond steady-state reallocation, and on the serve-path
-benchmark's ``churn-delta`` workload (never-seen apps) about one lookup
-in ten hits (0.11 and 0.12 in two traced runs).
+through the shared model.  The repair and climb batches are cached row
+by row; the audit and the full fall-back cache their whole space as
+one entry.  The cache only hits when the very same workload returns —
+the same app specs in the same order, since the fingerprint is the
+ordered spec tuple — so the searcher's speed comes from scoring
+O(delta) candidates, not from the cache.  ``python -m repro bench``
+clears the cache before it times (and gates) the sub-millisecond
+steady-state reallocation, and on the serve-path benchmark's
+``churn-delta`` workload (never-seen apps) about one lookup in ten
+hits (0.11 and 0.12 in two traced runs).
 
 See ``docs/OPTIMIZER.md`` for the full move-set and fall-back
 reference with a worked churn example.
@@ -423,10 +425,15 @@ class DeltaSearch(_SearchBase):
         apps: tuple[AppSpec, ...],
         evaluator,
         batch: np.ndarray,
+        *,
+        space: tuple | None = None,
     ) -> np.ndarray:
-        """Objective score of each candidate, batched or scalar path."""
+        """Objective score of each candidate, batched or scalar path.
+
+        ``space`` names a whole symmetric tensor (batched path only).
+        """
         if evaluator is not None:
-            return self._score_batch(evaluator, batch)
+            return self._score_batch(evaluator, batch, space=space)
         names = tuple(a.name for a in apps)
         return np.array(
             [
@@ -529,10 +536,19 @@ class DeltaSearch(_SearchBase):
         The winner is the *first* argmax in enumeration order — exactly
         the candidate :class:`~repro.core.optimizer.ExhaustiveSearch`
         returns — so after an audit the delta answer is identical to
-        the oracle's, ties included.
+        the oracle's, ties included.  Like that search, the audit names
+        its batch by the symmetric tensor's key, so its scores are
+        cached as one whole-space entry; on a miss the rows this
+        search's climb just scored still hit.
         """
         tensor = space.symmetric_tensor(require_full=self.require_full)
-        scores = self._scores(machine, apps, evaluator, tensor)
+        scores = self._scores(
+            machine,
+            apps,
+            evaluator,
+            tensor,
+            space=space.symmetric_key(require_full=self.require_full),
+        )
         winner = tensor[int(np.argmax(scores))]
         if np.array_equal(winner, space.expand(comp)):
             return False

@@ -25,13 +25,18 @@ layers:
    are bit-identical to the dense form it replaced, which routed every
    app through a ``(B, apps, nodes, nodes)`` tensor and water-filled one
    node at a time (``tests/test_core_kernel_identity.py``).
-3. **Memoisation** — :class:`ScoreCache` is a bounded LRU keyed by
-   ``(workload fingerprint, counts bytes)``.  Hill climbing and
-   annealing revisit the same allocations constantly; a revisit costs
-   one dict lookup instead of a model evaluation.  A batch makes one
-   round trip: its row keys are built in one step (:func:`row_keys`)
-   and the fingerprint is hashed once per lookup and store, not per
-   row.
+3. **Memoisation** — :class:`ScoreCache` is a bounded LRU with a
+   budget in rows.  A partial batch is cached row by row under
+   ``(workload fingerprint, counts bytes)``: hill climbing and
+   annealing revisit the same allocations constantly, and a revisit
+   costs one dict lookup instead of a model evaluation.  Such a batch
+   makes one round trip: its row keys are built in one step
+   (:func:`row_keys`) and the fingerprint is hashed once per lookup
+   and store, not per row.  A whole symmetric space is cached as one
+   ``(B, A)`` entry under ``(workload fingerprint, space key)``, so a
+   returning workload's whole-space search is one hit and a new
+   workload's, which can never hit, pays for one store instead of
+   ``B``.
 
 The scalar :meth:`~repro.core.model.NumaPerformanceModel.predict`
 remains the ground truth; parity (``|batched - reference| <= 1e-9``) is
@@ -43,7 +48,6 @@ the speedup is tracked by ``python -m repro bench``
 from __future__ import annotations
 
 import functools
-import itertools
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Hashable, Sequence
@@ -432,34 +436,60 @@ def _score_block(
 
 
 class _Prefix:
-    """One interned key prefix and how many cached rows share it."""
+    """One interned key prefix and how many cached entries share it."""
 
-    __slots__ = ("key", "rows")
+    __slots__ = ("key", "entries")
 
     def __init__(self, key: tuple) -> None:
         self.key = key
-        self.rows = 0
+        self.entries = 0
+
+
+@dataclass(frozen=True, slots=True)
+class _Space:
+    """The last key element of a whole-space entry.
+
+    Equal only to another ``_Space`` of the same key, so a space entry
+    never shares a key with a row entry.
+    """
+
+    key: tuple
 
 
 class ScoreCache:
-    """Bounded LRU of per-app GFLOPS rows, keyed by exact allocation.
+    """Bounded LRU of per-app GFLOPS, keyed by exact allocation.
 
-    Keys are ``(workload fingerprint, counts.tobytes())`` — see
-    :func:`workload_fingerprint`.  Values are read-only ``(A,)`` arrays,
-    so a cached row can be handed to every caller without copying.
-    Local-search optimizers revisit allocations constantly (a hill-climb
-    neighbourhood overlaps its predecessor's almost entirely), which is
-    what makes a memo cache worth its memory.
+    It holds two kinds of entry, both read-only, so a cached value can
+    be handed to every caller without copying:
+
+    * a **row entry**, one ``(A,)`` row under ``(workload fingerprint,
+      counts.tobytes())`` — see :func:`workload_fingerprint`.
+      Local-search optimizers revisit allocations constantly (a
+      hill-climb neighbourhood overlaps its predecessor's almost
+      entirely), which is what makes a memo cache worth its memory;
+    * a **space entry**, the ``(B, A)`` result of a whole symmetric
+      space under ``(workload fingerprint, space key)``, where the space
+      key names the memoised tensor
+      (:meth:`~repro.core.candidates.CandidateSpace.symmetric_key`).  A
+      returning workload's whole-space search is then one dict hit, and
+      a new workload's costs one store instead of ``B``.
+
+    Both kinds share one LRU order, one ``hits``/``misses`` tally and one
+    budget of ``maxsize`` rows: a space entry weighs its ``B`` rows.
+    Eviction drops whole entries, least recently used first, until at
+    most ``maxsize`` rows remain, and a space of more than ``maxsize``
+    rows is not stored.  ``len(cache)`` counts rows and :meth:`keys`
+    lists the row entries.
 
     The keys of one batch differ only in their last element, so
     :meth:`lookup` and :meth:`store` take the shared prefix
     ``(fingerprint,)`` once and the last elements as a list.  The cache
-    interns each prefix that still has rows, so a ~1 KB fingerprint is
-    hashed once per lookup or store instead of on every row's ``get``,
-    ``put`` and recency update.  :meth:`get` and :meth:`put` are the
-    one-row case of the same code; a batch leaves the same LRU order and
-    ``hits``/``misses`` counts as a :meth:`get` of every row followed by
-    a :meth:`put` of every miss, in batch order.
+    interns each prefix that still has entries, so a ~1 KB fingerprint
+    is hashed once per lookup or store instead of on every row's
+    ``get``, ``put`` and recency update.  :meth:`get` and :meth:`put`
+    are the one-row case of the same code; a batch leaves the same LRU
+    order and ``hits``/``misses`` counts as a :meth:`get` of every row
+    followed by a :meth:`put` of every miss, in batch order.
     """
 
     def __init__(self, maxsize: int = 65536) -> None:
@@ -472,13 +502,19 @@ class ScoreCache:
             OrderedDict()
         )
         self._prefixes: dict[tuple, _Prefix] = {}
+        #: rows held: one per row entry, ``B`` per space entry.
+        self._rows = 0
 
     def __len__(self) -> int:
-        return len(self._data)
+        return self._rows
 
     def keys(self) -> list[tuple]:
-        """Every cached key, least recently used first."""
-        return [prefix.key + (row,) for prefix, row in self._data]
+        """Every cached row key, least recently used first."""
+        return [
+            prefix.key + (row,)
+            for prefix, row in self._data
+            if type(row) is not _Space
+        ]
 
     def get(self, key: tuple) -> np.ndarray | None:
         """The cached row for ``key``, refreshing its recency."""
@@ -520,6 +556,31 @@ class ScoreCache:
         self.misses += len(missed)
         return missed, found
 
+    def lookup_space(
+        self, prefix: tuple, space: tuple, counts: np.ndarray
+    ) -> tuple[np.ndarray | None, list[int], list[np.ndarray]]:
+        """Look up a whole-space batch: its one entry, else its rows.
+
+        ``counts`` is the tensor ``space`` names.  On a hit of the entry
+        :meth:`store_space` made, the entry is refreshed, every row
+        counts as a hit, and the result is ``(values, [], [])``.  On a
+        miss it is ``None`` plus the ``(missed, found)`` of a
+        :meth:`lookup` of every row (:func:`row_keys`), so rows another
+        search stored still hit.  The row keys are built only when
+        ``prefix`` has entries: a workload with none misses every row.
+        """
+        interned = self._prefixes.get(prefix)
+        if interned is None:
+            self.misses += len(counts)
+            return None, list(range(len(counts))), []
+        key = (interned, _Space(space))
+        values = self._data.get(key)
+        if values is None:
+            return None, *self.lookup(prefix, row_keys(counts))
+        self._data.move_to_end(key)
+        self.hits += len(values)
+        return values, [], []
+
     def store(
         self, prefix: tuple, rows: Sequence[Hashable], values: np.ndarray
     ) -> None:
@@ -530,9 +591,7 @@ class ScoreCache:
         """
         values = np.asarray(values)
         values.setflags(write=False)
-        interned = self._prefixes.get(prefix)
-        if interned is None:
-            interned = self._prefixes[prefix] = _Prefix(prefix)
+        interned = self._intern(prefix)
         data = self._data
         keys = [(interned, row) for row in rows]
         before = len(data)
@@ -543,20 +602,56 @@ class ScoreCache:
             # each put moves its key to the most recent end.
             for key in keys:
                 data.move_to_end(key)
-        interned.rows += added
-        over = len(data) - self.maxsize
-        if over > 0:
-            for key in list(itertools.islice(data, over)):
-                del data[key]
-                owner = key[0]
-                owner.rows -= 1
-                if not owner.rows:
-                    del self._prefixes[owner.key]
+        interned.entries += added
+        self._rows += added
+        self._evict()
+
+    def store_space(
+        self, prefix: tuple, space: tuple, values: np.ndarray
+    ) -> None:
+        """Insert a whole space's ``(B, A)`` ``values`` as one entry.
+
+        The entry weighs ``B`` rows and is looked up by
+        :meth:`lookup_space`.  ``values`` is made read-only and cached
+        as is; a space of more than ``maxsize`` rows is not stored and
+        evicts nothing.
+        """
+        values = np.asarray(values)
+        if len(values) > self.maxsize:
+            return
+        values.setflags(write=False)
+        interned = self._intern(prefix)
+        key = (interned, _Space(space))
+        replaced = self._data.pop(key, None)
+        if replaced is None:
+            interned.entries += 1
+        else:
+            self._rows -= len(replaced)
+        self._data[key] = values
+        self._rows += len(values)
+        self._evict()
+
+    def _intern(self, prefix: tuple) -> _Prefix:
+        interned = self._prefixes.get(prefix)
+        if interned is None:
+            interned = self._prefixes[prefix] = _Prefix(prefix)
+        return interned
+
+    def _evict(self) -> None:
+        """Drop whole entries, least recently used first, down to budget."""
+        data = self._data
+        while self._rows > self.maxsize:
+            (owner, row), value = data.popitem(last=False)
+            self._rows -= len(value) if type(row) is _Space else 1
+            owner.entries -= 1
+            if not owner.entries:
+                del self._prefixes[owner.key]
 
     def clear(self) -> None:
         """Drop every entry and reset the hit/miss tallies."""
         self._data.clear()
         self._prefixes.clear()
+        self._rows = 0
         self.hits = 0
         self.misses = 0
 
@@ -620,9 +715,18 @@ class FastEvaluator:
             return None
         return cls(model, machine, apps, batched)
 
-    def scores(self, counts: np.ndarray) -> np.ndarray:
-        """Objective score of each candidate in a ``(B, A, N)`` tensor."""
-        gflops = self.model.predict_scores(self.machine, self.apps, counts)
+    def scores(
+        self, counts: np.ndarray, *, space: tuple | None = None
+    ) -> np.ndarray:
+        """Objective score of each candidate in a ``(B, A, N)`` tensor.
+
+        ``space`` names ``counts`` as a memoised symmetric tensor, so the
+        model caches its scores as one entry (see
+        :meth:`~repro.core.model.NumaPerformanceModel.predict_scores`).
+        """
+        gflops = self.model.predict_scores(
+            self.machine, self.apps, counts, space=space
+        )
         return np.asarray(
             self.batched_objective(gflops, self.apps), dtype=float
         )

@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.core.allocation import ThreadAllocation
 from repro.core.bwshare import RemainderRule, share_node_bandwidth
+from repro.core.candidates import is_symmetric_tensor
 from repro.core.fasteval import (
     ModelTables,
     ScoreCache,
@@ -189,7 +190,8 @@ class NumaPerformanceModel:
         published numbers are identical under both rules.
     cache_size:
         Capacity of the score memo cache backing
-        :meth:`predict_scores` (entries, LRU-evicted).  Local-search
+        :meth:`predict_scores`, in rows (LRU-evicted): a cached row
+        counts one, a cached whole space its ``B`` rows.  Local-search
         optimizers revisit allocations constantly, so the cache is on by
         default; pass ``0`` to disable memoisation entirely.
     workers:
@@ -308,6 +310,8 @@ class NumaPerformanceModel:
         machine: MachineTopology,
         apps: Sequence[AppSpec],
         allocations,
+        *,
+        space: tuple | None = None,
     ) -> np.ndarray:
         """Per-app GFLOPS for a batch of allocations (the fast path).
 
@@ -320,6 +324,14 @@ class NumaPerformanceModel:
         (:meth:`~repro.core.fasteval.ScoreCache.lookup`), not one per
         row.
 
+        A whole-space search names its batch with ``space``, and its
+        result is cached as one entry
+        (:meth:`~repro.core.fasteval.ScoreCache.store_space`) instead of
+        one per row: a returning workload's search is then one hit and
+        no kernel call, and a new workload's pays for one store.  On a
+        miss the rows are still looked up one by one, so rows an earlier
+        partial batch stored still hit.
+
         Parameters
         ----------
         machine, apps:
@@ -328,6 +340,11 @@ class NumaPerformanceModel:
             One :class:`~repro.core.allocation.ThreadAllocation`, a
             sequence of them, an ``(apps, nodes)`` counts matrix, or a
             ``(B, apps, nodes)`` counts tensor.
+        space:
+            The key of the memoised symmetric tensor ``allocations`` is
+            (:meth:`~repro.core.candidates.CandidateSpace.symmetric_key`),
+            or ``None`` (default) for any other batch, whose rows are
+            cached one by one.
 
         Returns
         -------
@@ -335,50 +352,94 @@ class NumaPerformanceModel:
             ``(B, len(apps))`` achieved GFLOPS per candidate and app;
             agrees with :meth:`predict` to within 1e-9 per app.  Reduce
             with an objective's ``batched`` form to get search scores.
+            The array is the caller's own (writeable).
 
         Raises
         ------
         ModelError
             If the workload is inconsistent (duplicate apps, bad home
-            node, malformed counts).
+            node, malformed counts), or ``allocations`` is not the
+            memoised tensor ``space`` names (checked before the cache is
+            touched).
         OversubscriptionError
             If any candidate over-subscribes a node.
         """
+        if space is not None and not is_symmetric_tensor(allocations, space):
+            raise ModelError(
+                f"space {space!r} names the memoised symmetric tensor of "
+                f"that key; the batch given is not that array"
+            )
         self._check_workload(machine, apps)
         counts = as_counts_batch(allocations, len(apps), machine.num_nodes)
         tables = self._tables_for(machine, apps)
         cache = self.cache
         if cache is None:
-            gflops = self._batch_gflops(tables, counts)
-            if OBS.enabled:
-                self._obs_batched.add(len(counts))
-                self._obs_cache_misses.add(len(counts))
-            return gflops
+            gflops, hits = self._batch_gflops(tables, counts), 0
+        elif space is None:
+            gflops, hits = self._cached_rows(cache, tables, counts)
+        else:
+            gflops, hits = self._cached_space(cache, tables, counts, space)
+        if OBS.enabled:
+            self._obs_batched.add(len(counts))
+            if hits:
+                self._obs_cache_hits.add(hits)
+            if hits < len(counts):
+                self._obs_cache_misses.add(len(counts) - hits)
+        return gflops
 
+    def _cached_rows(
+        self, cache: ScoreCache, tables: ModelTables, counts: np.ndarray
+    ) -> tuple[np.ndarray, int]:
+        """Scores of a batch cached row by row, and its hit count."""
         keys = row_keys(counts)
         prefix = (tables.key,)
         missed, found = cache.lookup(prefix, keys)
         if len(missed) == len(counts):
             fresh = self._batch_gflops(tables, counts)
             cache.store(prefix, keys, fresh)
-            out = fresh.copy()
+            return fresh.copy(), 0
+        if not missed:
+            return np.array(found), len(found)
+        out, fresh = self._fill(tables, counts, missed, found)
+        cache.store(prefix, [keys[i] for i in missed], fresh)
+        return out, len(found)
+
+    def _cached_space(
+        self,
+        cache: ScoreCache,
+        tables: ModelTables,
+        counts: np.ndarray,
+        space: tuple,
+    ) -> tuple[np.ndarray, int]:
+        """Scores of a whole space cached as one entry, and its hit count."""
+        prefix = (tables.key,)
+        whole, missed, found = cache.lookup_space(prefix, space, counts)
+        if whole is not None:
+            return whole.copy(), len(whole)
+        if len(missed) == len(counts):
+            out = self._batch_gflops(tables, counts)
         elif not missed:
             out = np.array(found)
         else:
-            out = np.empty((len(counts), len(apps)))
-            hit = np.ones(len(counts), dtype=bool)
-            hit[missed] = False
-            out[hit] = found
-            fresh = self._batch_gflops(tables, counts[missed])
-            out[missed] = fresh
-            cache.store(prefix, [keys[i] for i in missed], fresh)
-        if OBS.enabled:
-            self._obs_batched.add(len(counts))
-            if found:
-                self._obs_cache_hits.add(len(found))
-            if missed:
-                self._obs_cache_misses.add(len(missed))
-        return out
+            out, _ = self._fill(tables, counts, missed, found)
+        cache.store_space(prefix, space, out)
+        return out.copy(), len(found)
+
+    def _fill(
+        self,
+        tables: ModelTables,
+        counts: np.ndarray,
+        missed: list[int],
+        found: list[np.ndarray],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """A partly cached batch: ``(whole batch, kernel rows of missed)``."""
+        out = np.empty((len(counts), len(tables.intensity)))
+        hit = np.ones(len(counts), dtype=bool)
+        hit[missed] = False
+        out[hit] = found
+        fresh = self._batch_gflops(tables, counts[missed])
+        out[missed] = fresh
+        return out, fresh
 
     def _tables_for(
         self, machine: MachineTopology, apps: Sequence[AppSpec]

@@ -251,10 +251,18 @@ class _SearchBase:
         return CandidateSpace(machine, len(apps))
 
     def _score_batch(
-        self, evaluator: FastEvaluator, counts: np.ndarray
+        self,
+        evaluator: FastEvaluator,
+        counts: np.ndarray,
+        *,
+        space: tuple | None = None,
     ) -> np.ndarray:
-        """Objective score of each ``(B, A, N)`` candidate, counted."""
-        scores = evaluator.scores(counts)
+        """Objective score of each ``(B, A, N)`` candidate, counted.
+
+        ``space`` names a whole symmetric tensor by its key
+        (:meth:`~repro.core.candidates.CandidateSpace.symmetric_key`).
+        """
+        scores = evaluator.scores(counts, space=space)
         self._evaluations += len(scores)
         if OBS.enabled:
             _EVALUATIONS.add(len(scores))
@@ -294,6 +302,12 @@ class _SearchBase:
 
 class ExhaustiveSearch(_SearchBase):
     """Evaluate every node-symmetric allocation; exact in that subspace.
+
+    The fast path scores the memoised symmetric tensor in one
+    :meth:`~repro.core.model.NumaPerformanceModel.predict_scores` call
+    named by the tensor's key, so the model's score cache keeps the
+    whole space's scores as one entry: the same workload searched
+    again costs one cache hit and no kernel call.
 
     Parameters
     ----------
@@ -360,12 +374,15 @@ class ExhaustiveSearch(_SearchBase):
         apps: Sequence[AppSpec],
         evaluator: FastEvaluator,
     ) -> SearchResult:
-        counts = self._space(machine, apps).symmetric_tensor(
-            require_full=self.require_full
-        )
+        space = self._space(machine, apps)
+        counts = space.symmetric_tensor(require_full=self.require_full)
         if len(counts) == 0:
             raise AllocationError("empty search space")
-        scores = self._score_batch(evaluator, counts)
+        scores = self._score_batch(
+            evaluator,
+            counts,
+            space=space.symmetric_key(require_full=self.require_full),
+        )
         # argmax returns the first maximum — the same candidate the
         # scalar loop's strict ">" keeps, since the tensor rows follow
         # the same enumeration order as symmetric_allocations.

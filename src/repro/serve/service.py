@@ -27,7 +27,9 @@ Policy highlights (full semantics in ``docs/SERVICE.md``):
   :class:`~repro.core.fasteval.ScoreCache` persists across churn;
   when a departed workload returns with the same apps in the same
   admission order, its candidate scores are cache hits (property-tested
-  in ``tests/test_core_fasteval.py``).
+  in ``tests/test_core_fasteval.py``).  A full-mode search caches the
+  whole space as one entry, so a returning workload's search is one
+  hit, and a new one's costs one store instead of one per candidate.
 * **Incremental re-optimization** — ``mode="delta"`` warm-starts each
   re-optimization from the previous allocation through
   :class:`~repro.core.delta.DeltaSearch` (O(delta) move exploration
@@ -688,10 +690,11 @@ class AllocationService:
         admission order as in an earlier search (the cache key is the
         ordered spec tuple); replacement churn of a larger app pool
         seldom recreates that, so a full-mode re-optimization usually
-        scores the whole space afresh.  The returned score is the
-        scalar model's ground truth for the winner.  In delta mode the
-        incremental searcher is warm-started from the previous answer
-        instead of re-searching the whole space.
+        scores the whole space afresh and stores it as one cache entry.
+        The returned score is the scalar model's ground truth for the
+        winner.  In delta mode the incremental searcher is warm-started
+        from the previous answer instead of re-searching the whole
+        space.
         """
         if self.delta is not None:
             outcome = self.delta.search(

@@ -1,18 +1,23 @@
 """The batched/cached evaluation engine: parity, caching, search paths."""
 
 from collections import OrderedDict
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.core import model as model_module
 from repro.core.allocation import ThreadAllocation
 from repro.core.bwshare import RemainderRule
 from repro.core.candidates import (
+    CandidateSpace,
     enumerate_symmetric_allocations,
+    is_symmetric_tensor,
     symmetric_counts_tensor,
 )
+from repro.core.delta import DeltaSearch
 from repro.core.fasteval import (
     FastEvaluator,
     ModelTables,
@@ -687,3 +692,248 @@ class TestCachedScoresAreExact:
             want = _UNCACHED.predict_scores(_MACHINE, _CACHE_APPS, counts)
             assert np.array_equal(got, want)
             assert (cache.hits, cache.misses) == (hits, misses)
+
+
+#: A machine small enough that a whole space fits a tiny cache: three
+#: apps have 15 full and 35 partial symmetric allocations on it.
+_SMALL = MachineTopology.homogeneous(
+    num_nodes=2,
+    cores_per_node=4,
+    peak_gflops_per_core=10.0,
+    local_bandwidth=32.0,
+    remote_bandwidth=8.0,
+    name="small",
+)
+_SMALL_WORKLOADS = (
+    [
+        AppSpec.memory_bound("mem", 0.5),
+        AppSpec.compute_bound("cpu", 8.0),
+        AppSpec.numa_bad("bad", 1.0, home_node=1),
+    ],
+    [
+        AppSpec.compute_bound("cpu", 4.0),
+        AppSpec(
+            name="spread",
+            arithmetic_intensity=0.8,
+            placement=Placement.INTERLEAVED,
+        ),
+        AppSpec.memory_bound("mem", 2.0),
+    ],
+)
+_SMALL_SPACE = CandidateSpace(_SMALL, 3)
+
+
+def _small_space(require_full):
+    """The memoised tensor of one small space and its key."""
+    return (
+        _SMALL_SPACE.symmetric_tensor(require_full=require_full),
+        _SMALL_SPACE.symmetric_key(require_full=require_full),
+    )
+
+
+class _WeightedLRU:
+    """Reference semantics of row and space entries: one LRU order,
+    one tally, a budget of rows with a space weighing its rows."""
+
+    def __init__(self, maxsize):
+        self.maxsize = maxsize
+        self.hits = 0
+        self.misses = 0
+        self.data = OrderedDict()  # key -> rows it weighs
+
+    def rows(self):
+        return sum(self.data.values())
+
+    def row_keys(self):
+        return [key[1:] for key in self.data if key[0] == "row"]
+
+    def space_rows(self):
+        return sum(w for key, w in self.data.items() if key[0] == "space")
+
+    def _get(self, key):
+        if key in self.data:
+            self.data.move_to_end(key)
+            return True
+        return False
+
+    def _put(self, key, weight):
+        if weight > self.maxsize:
+            return
+        self.data.pop(key, None)
+        self.data[key] = weight
+        while self.rows() > self.maxsize:
+            self.data.popitem(last=False)
+
+    def rows_batch(self, workload, rows):
+        missed = []
+        for row in rows:
+            if self._get(("row", workload, row)):
+                self.hits += 1
+            else:
+                self.misses += 1
+                missed.append(row)
+        for row in missed:
+            self._put(("row", workload, row), 1)
+
+    def space_batch(self, workload, space, rows):
+        """Returns whether the space entry hit."""
+        if self._get(("space", workload, space)):
+            self.hits += len(rows)
+            return True
+        for row in rows:
+            if self._get(("row", workload, row)):
+                self.hits += 1
+            else:
+                self.misses += 1
+        self._put(("space", workload, space), len(rows))
+        return False
+
+
+#: (workload, require_full, rows): ``rows=None`` scores the whole space
+#: under its key; a row list scores a copy of those rows of the full
+#: space, cached row by row.
+_mixed_batches = st.lists(
+    st.tuples(
+        st.sampled_from([0, 1]),
+        st.booleans(),
+        st.none() | st.lists(st.integers(0, 14), min_size=1, max_size=8),
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+class TestWholeSpaceEntry:
+    """A whole-space batch is cached as one entry weighing its rows."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(maxsize=st.integers(1, 40), batches=_mixed_batches)
+    def test_rows_and_spaces_share_one_budget(self, maxsize, batches):
+        model = NumaPerformanceModel(cache_size=maxsize)
+        uncached = NumaPerformanceModel(cache_size=0)
+        cache = model.cache
+        reference = _WeightedLRU(maxsize)
+        prefixes = [
+            (workload_fingerprint(_SMALL, w, model.remainder_rule),)
+            for w in _SMALL_WORKLOADS
+        ]
+        kernel = mock.patch.object(
+            model_module,
+            "batched_app_gflops",
+            wraps=model_module.batched_app_gflops,
+        )
+        with kernel as calls:
+            for workload, require_full, rows in batches:
+                apps = _SMALL_WORKLOADS[workload]
+                tensor, key = _small_space(require_full)
+                before = (cache.hits, calls.call_count, cache.keys())
+                if rows is None:
+                    got = model.predict_scores(_SMALL, apps, tensor, space=key)
+                    hit = reference.space_batch(
+                        workload, key, [r.tobytes() for r in tensor]
+                    )
+                    if hit:
+                        assert cache.hits == before[0] + len(tensor)
+                        assert calls.call_count == before[1]
+                    if len(tensor) > maxsize:
+                        assert set(cache.keys()) == set(before[2])
+                    counts = tensor
+                else:
+                    counts = symmetric_counts_tensor(_SMALL, 3)[rows]
+                    got = model.predict_scores(_SMALL, apps, counts)
+                    reference.rows_batch(
+                        workload, [r.tobytes() for r in counts]
+                    )
+                want = uncached.predict_scores(_SMALL, apps, counts)
+                assert np.array_equal(got, want)
+                assert got.flags.writeable
+                assert (cache.hits, cache.misses) == (
+                    reference.hits,
+                    reference.misses,
+                )
+                assert cache.keys() == [
+                    prefixes[w] + (row,) for w, row in reference.row_keys()
+                ]
+                assert len(cache) == (
+                    len(cache.keys()) + reference.space_rows()
+                )
+                assert len(cache) <= maxsize
+
+    def test_a_space_hit_is_one_lookup_and_no_kernel_call(self):
+        model = NumaPerformanceModel()
+        apps = _SMALL_WORKLOADS[0]
+        tensor, key = _small_space(True)
+        with mock.patch.object(
+            model_module,
+            "batched_app_gflops",
+            wraps=model_module.batched_app_gflops,
+        ) as calls:
+            first = model.predict_scores(_SMALL, apps, tensor, space=key)
+            second = model.predict_scores(_SMALL, apps, tensor, space=key)
+        assert calls.call_count == 1
+        assert (model.cache.hits, model.cache.misses) == (15, 15)
+        assert np.array_equal(first, second)
+        assert first is not second and second.flags.writeable
+        # One space entry: no row entries, 15 rows of budget.
+        assert model.cache.keys() == [] and len(model.cache) == 15
+
+    @pytest.mark.parametrize(
+        "batch",
+        [
+            lambda t: t.copy(),
+            lambda t: t[:-1],
+            lambda t: t[:],
+            lambda t: symmetric_counts_tensor(_SMALL, 3, require_full=False),
+        ],
+        ids=["copy", "slice", "view", "other-space"],
+    )
+    def test_a_batch_the_key_does_not_name_is_refused(self, batch):
+        model = NumaPerformanceModel()
+        apps = _SMALL_WORKLOADS[0]
+        tensor, key = _small_space(True)
+        model.predict_scores(_SMALL, apps, tensor[:3])
+        state = (
+            model.cache.hits,
+            model.cache.misses,
+            len(model.cache),
+            model.cache.keys(),
+        )
+        with pytest.raises(ModelError, match="space"):
+            model.predict_scores(_SMALL, apps, batch(tensor), space=key)
+        assert state == (
+            model.cache.hits,
+            model.cache.misses,
+            len(model.cache),
+            model.cache.keys(),
+        )
+
+    @pytest.mark.parametrize(
+        "key", [(4, 3, 2), (4, 3, 2, True, 0), ("4", 3, 2, True), None]
+    )
+    def test_malformed_keys_name_nothing(self, key):
+        assert not is_symmetric_tensor(_small_space(True)[0], key)
+
+    def test_exhaustive_search_stores_one_entry(self):
+        model = NumaPerformanceModel()
+        apps = _SMALL_WORKLOADS[1]
+        first = ExhaustiveSearch(model).search(_SMALL, apps)
+        assert model.cache.keys() == [] and len(model.cache) == 15
+        again = ExhaustiveSearch(model).search(_SMALL, apps)
+        assert (model.cache.hits, model.cache.misses) == (15, 15)
+        assert again.allocation.as_mapping() == first.allocation.as_mapping()
+
+    def test_delta_audit_stores_one_entry_after_the_climb_rows(self):
+        model = NumaPerformanceModel()
+        apps = _SMALL_WORKLOADS[0]
+        previous = ExhaustiveSearch(model).search(_SMALL, apps[:2])
+        model.cache.clear()
+        outcome = DeltaSearch(model).search(
+            _SMALL,
+            apps,
+            previous=previous.allocation,
+            previous_specs=apps[:2],
+        )
+        assert outcome.mode == "delta" and outcome.audited
+        climbed = len(model.cache.keys())
+        assert climbed > 0
+        assert len(model.cache) == climbed + 15
