@@ -73,17 +73,6 @@ Commands
     picks the topology preset), every peer under the same admission
     control (connection caps, token-bucket rate limiting, bounded
     admission queue, idle deadlines — see ``docs/GATEWAY.md``).
-``load``
-    Drive the gateway with an open-loop load scenario
-    (:mod:`repro.serve.load`): seeded Poisson/diurnal arrivals spawn
-    simulated client sessions that register, report, and deregister
-    through a live in-process gateway.  Prints p50/p95/p99 command
-    latency, shed/retry counts, and re-optimization debounce
-    behaviour; ``--json`` emits the report as JSON, ``--out`` writes
-    it (``BENCH_serve.json`` is the committed baseline),
-    ``--transport http`` routes every command through the HTTP/1.1
-    adapter, and ``--max-p99-ms`` gates the exit code on the latency
-    SLO (the CI gate).
 """
 
 from __future__ import annotations
@@ -281,51 +270,6 @@ def main(argv: list[str] | None = None) -> int:
         help="additionally expose the HTTP/1.1 adapter on this port "
         "(it shares --tcp's host when both are given)",
     )
-    loadp = sub.add_parser(
-        "load", help="drive the gateway with an open-loop load scenario"
-    )
-    from repro.serve.load import LOAD_SCENARIOS
-
-    loadp.add_argument(
-        "--scenario",
-        choices=sorted(LOAD_SCENARIOS),
-        default="open-loop-small",
-        help="named workload from the scenario library "
-        "(default: open-loop-small, the CI preset)",
-    )
-    loadp.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="arrival-schedule seed (default 0); same seed, same "
-        "arrival offsets",
-    )
-    loadp.add_argument(
-        "--transport",
-        choices=("tcp", "http"),
-        default="tcp",
-        help="how sessions speak to the gateway: persistent NDJSON "
-        "streams (tcp, default) or one HTTP request per command (http)",
-    )
-    loadp.add_argument(
-        "--json",
-        action="store_true",
-        help="print the report as JSON instead of a table",
-    )
-    loadp.add_argument(
-        "--out",
-        default=None,
-        help="also write the JSON report to this path "
-        "(BENCH_serve.json is the committed baseline)",
-    )
-    loadp.add_argument(
-        "--max-p99-ms",
-        type=float,
-        default=None,
-        metavar="MS",
-        help="override the scenario's latency SLO: exit 1 unless the "
-        "overall command-latency p99 stays at or under MS milliseconds",
-    )
     args = parser.parse_args(argv)
 
     if args.command == "report":
@@ -357,8 +301,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if report.passed else 1
     elif args.command == "serve":
         return _run_serve(args)
-    elif args.command == "load":
-        return _run_load(args)
     return 0
 
 
@@ -443,35 +385,6 @@ def _run_serve(args) -> int:
 
     asyncio.run(_daemon())
     print("drained")
-    return 0
-
-
-def _run_load(args) -> int:
-    """Run one open-loop load scenario; exit 1 when the SLO fails."""
-    from repro.serve.load import run_load
-
-    report = run_load(
-        args.scenario,
-        seed=args.seed,
-        transport=args.transport,
-        max_p99_ms=args.max_p99_ms,
-    )
-    print(report.to_json() if args.json else report.format())
-    if args.out is not None:
-        from repro.analysis.bench import write_report
-
-        write_report(report.to_dict(), args.out)
-        if not args.json:
-            print(f"wrote {args.out}")
-    if not report.passed:
-        print(
-            f"FAIL: p99 {report.latency_ms['p99']:.2f} ms against the "
-            f"{report.slo['p99_ms']:.0f} ms SLO (or too few sessions "
-            f"admitted: {report.sessions['admitted']} < "
-            f"{report.slo['min_admitted']})",
-            file=sys.stderr,
-        )
-        return 1
     return 0
 
 

@@ -141,8 +141,8 @@ def host_stamp() -> dict:
 
     Effective CPUs (:func:`effective_cpus`), the CPU model, and the
     Python and NumPy versions: what decides whether two reports' times
-    can be compared at all.  Both ``python -m repro bench`` and
-    ``python -m repro load`` record it as their ``host`` section.
+    can be compared at all.  ``python -m repro bench`` records it as
+    its report's ``host`` section.
     """
     return {
         "effective_cpus": effective_cpus(),

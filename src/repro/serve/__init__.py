@@ -31,14 +31,13 @@ Layering (each layer usable on its own):
 * :mod:`repro.serve.server` — per-connection outbox with backpressure,
   and :class:`~repro.serve.server.AsyncServiceClient`, the asyncio
   stream client;
-* :mod:`repro.serve.load` — the open-loop load harness behind
-  ``python -m repro load``: seeded Poisson/diurnal arrivals, latency
-  percentiles, shed/retry accounting (``BENCH_serve.json``);
 * :mod:`repro.serve.scenarios` — seeded churn replays on the DES clock
   (``python -m repro serve --scenario churn-basic``).
 
 Protocol, lifecycle, and failure semantics are documented in
 ``docs/SERVICE.md``; the guided walk-through is ``docs/TUTORIAL.md``.
+The serve path under load is measured from outside the package by
+``perfbench/run.py`` (``docs/BENCHMARKS.md``).
 """
 
 from __future__ import annotations
@@ -67,12 +66,6 @@ from repro.serve.gateway import (
     GatewayConfig,
     GatewayServer,
     TokenBucket,
-)
-from repro.serve.load import (
-    LOAD_SCENARIOS,
-    LoadReport,
-    LoadScenario,
-    run_load,
 )
 from repro.serve.registry import Session, SessionState, WorkloadRegistry
 from repro.serve.scenarios import (
@@ -112,10 +105,6 @@ __all__ = [
     "TokenBucket",
     "GatewayConfig",
     "GatewayServer",
-    "LoadScenario",
-    "LoadReport",
-    "LOAD_SCENARIOS",
-    "run_load",
     "ChurnEvent",
     "ChurnReport",
     "ReplayEndpoint",

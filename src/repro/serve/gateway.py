@@ -42,9 +42,9 @@ table — no new codes are minted: every gateway rejection is
 ``overloaded``, ``draining``, ``frame-too-large``, or ``malformed``,
 so existing clients' retry logic keeps working unchanged.
 
-The wire protocol, every knob, and the SLO definitions are documented
-in ``docs/GATEWAY.md``; drive the gateway under load with
-``python -m repro load`` (:mod:`repro.serve.load`).
+The wire protocol, every knob, and the refusal counters are documented
+in ``docs/GATEWAY.md``; the gateway under load is measured by
+``perfbench/run.py`` (``docs/BENCHMARKS.md``).
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import urllib.parse
 from dataclasses import dataclass
 from typing import Callable
 
@@ -800,7 +801,13 @@ class GatewayServer:
     async def _route_http(
         self, method: str, path: str, body: bytes
     ) -> tuple[int, dict]:
-        """Map one parsed HTTP request onto the protocol command set."""
+        """Map one parsed HTTP request onto the protocol command set.
+
+        The query string plays no part in routing, and the session name
+        of an allocation lookup is percent-decoded: a session registered
+        as ``a b`` is read back at ``/v1/allocation/a%20b``.
+        """
+        path = path.partition("?")[0]
         if path == "/healthz":
             if method != "GET":
                 return 405, {"error": "healthz is GET-only"}
@@ -826,7 +833,7 @@ class GatewayServer:
         if path.startswith("/v1/allocation/"):
             if method != "GET":
                 return 405, {"error": "allocation endpoint is GET-only"}
-            name = path[len("/v1/allocation/") :]
+            name = urllib.parse.unquote(path[len("/v1/allocation/") :])
             if not name:
                 return 404, {"error": "allocation of which session?"}
             return await self._http_command(QueryAllocation(name=name))

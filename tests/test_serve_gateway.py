@@ -2,14 +2,16 @@
 
 Covers the edge cases a trusting transport never sees: slow-loris
 partial lines and bodies, oversized frames, connection-cap rejection,
-token-bucket burst-then-sustain behaviour, drain with commands still
-queued, peers that vanish or stop reading, and malformed HTTP requests
-against the adapter.  Stream tests run over TCP; each ``TestUnix*``
-subclass re-runs its parent's tests over the unix-socket listener, and
-newer classes are parametrized over both.
+token-bucket burst-then-sustain behaviour, the four refusal counters
+against the ``overloaded`` replies a client read, drain with commands
+still queued, peers that vanish or stop reading, and malformed or
+concurrent HTTP requests against the adapter.  Stream tests run over
+TCP; each ``TestUnix*`` subclass re-runs its parent's tests over the
+unix-socket listener, and newer classes are parametrized over both.
 """
 
 import asyncio
+import contextlib
 import json
 import logging
 import os
@@ -47,6 +49,7 @@ from repro.serve.protocol import (
     QueryAllocation,
     Register,
 )
+from repro.sim import Simulator
 
 MEM = AppSpec.memory_bound("mem", 0.5)
 CPU = AppSpec.compute_bound("cpu", 10.0)
@@ -59,9 +62,9 @@ def run(coro):
     return asyncio.run(asyncio.wait_for(coro, timeout=20.0))
 
 
-def make_gateway(**gw_kwargs):
+def make_gateway(service=None, **gw_kwargs):
     gw_kwargs.setdefault("port", 0)
-    config = ServiceConfig(machine=model_machine(), debounce=0.01)
+    config = service or ServiceConfig(machine=model_machine(), debounce=0.01)
     return GatewayServer(config, GatewayConfig(**gw_kwargs))
 
 
@@ -111,6 +114,11 @@ async def request(reader, writer, message):
     """One round-trip, skipping pushed (untagged) stream lines."""
     writer.write((encode_message(message) + "\n").encode("utf-8"))
     await writer.drain()
+    return await next_reply(reader)
+
+
+async def next_reply(reader):
+    """The next reply on a stream, skipping pushed (untagged) lines."""
     while True:
         line = await asyncio.wait_for(reader.readline(), timeout=10.0)
         assert line, "connection closed while awaiting a reply"
@@ -166,6 +174,25 @@ class TestTokenBucket:
         assert not bucket.try_acquire()
         t[0] = 10.0  # refill caps at burst
         assert bucket.available() == pytest.approx(3.0)
+
+    def test_simulation_clock_replays_the_same_decisions(self):
+        # The gateway's admission decision in DES form: one schedule and
+        # one set of knobs give one accept/shed pattern, no event loop.
+        def run_once() -> list[bool]:
+            sim = Simulator()
+            bucket = TokenBucket(rate=50.0, burst=10, clock=lambda: sim.now)
+            decisions: list[bool] = []
+            for i in range(200):  # 200 commands/s for one second
+                sim.schedule_at(
+                    i / 200.0, lambda: decisions.append(bucket.try_acquire())
+                )
+            sim.run()
+            return decisions
+
+        first = run_once()
+        assert first == run_once()
+        # The 10-token burst plus 49.75 tokens refilled by t = 0.995 s.
+        assert sum(first) == 59
 
     def test_validation(self):
         with pytest.raises(ServiceError):
@@ -637,6 +664,80 @@ class TestAdmissionQueue:
         run(scenario())
 
 
+@pytest.mark.parametrize("transport", TRANSPORTS)
+class TestShedAccounting:
+    def test_four_refusal_stages_sum_to_overloaded_replies(self, make):
+        # Each stage that answers `overloaded` refuses once: the
+        # connection cap, the registry's session cap, the admission
+        # queue and the token bucket.  Every refusal is counted by
+        # exactly one of their four counters.
+        gateway = make(
+            service=ServiceConfig(
+                machine=model_machine(), debounce=0.01, max_sessions=1
+            ),
+            max_connections=2,
+            rate=0.01,  # no refill within the test
+            burst=4,
+            admission_limit=1,
+        )
+
+        async def scenario():
+            service = await gateway.start()
+            reader, writer = await connect(gateway)
+            replies = [
+                await request(reader, writer, Register(name="mem", app=MEM))
+            ]
+            # Session cap: a second register finds max_sessions full.
+            reader2, writer2 = await connect(gateway)
+            replies.append(
+                await request(reader2, writer2, Register(name="cpu", app=CPU))
+            )
+            # Connection cap: a third socket finds both slots taken.
+            reader3, writer3 = await connect(gateway)
+            line = await asyncio.wait_for(reader3.readline(), timeout=5.0)
+            replies.append(decode_message(line.decode("utf-8")))
+            # With the dispatcher paused, the first report fills the
+            # one-slot queue, the second takes the bucket's last token
+            # and finds the queue full, the third finds the bucket dry.
+            gateway._dispatcher.cancel()
+            with contextlib.suppress(asyncio.CancelledError):
+                await gateway._dispatcher
+            loop = asyncio.get_running_loop()
+            for _ in range(3):
+                report = ProgressReport(name="mem", time=loop.time())
+                writer.write((encode_message(report) + "\n").encode("utf-8"))
+            await writer.drain()
+            replies.append(await next_reply(reader))
+            replies.append(await next_reply(reader))
+            gateway._dispatcher = asyncio.ensure_future(gateway._dispatch())
+            replies.append(await next_reply(reader))  # the queued report
+            for w in (writer, writer2, writer3):
+                w.close()
+            await gateway.stop()
+            return service, replies
+
+        with capture() as cap:
+            service, replies = run(scenario())
+        assert [type(r).__name__ for r in replies] == [
+            "Ack", "ErrorReply", "ErrorReply", "ErrorReply", "ErrorReply",
+            "Ack",
+        ]
+        overloaded = sum(
+            isinstance(r, ErrorReply) and r.code == "overloaded"
+            for r in replies
+        )
+        counted = {
+            "gateway/rejected_connections": gateway.rejected_connections,
+            "serve/rejected_sessions": service.rejected_sessions,
+            "gateway/queue_full": gateway.queue_full,
+            "gateway/rate_limited": gateway.rate_limited,
+        }
+        assert all(n >= 1 for n in counted.values()), counted
+        assert sum(counted.values()) == overloaded
+        for name, n in counted.items():
+            assert cap.metrics.counter(name).value == n, name
+
+
 class TestDrain:
     def test_inflight_commands_are_answered_before_shutdown(self, make):
         gateway = make()
@@ -943,6 +1044,87 @@ class TestHttpAdapter:
             assert status == 200
             assert body["status"] == "ok"
             assert body["sessions"] == 1
+            await gateway.stop()
+
+        run(scenario())
+
+    def test_concurrent_clients_each_get_their_own_replies(self, caplog):
+        caplog.set_level(logging.ERROR, logger="asyncio")
+        # A debounce longer than the test: no search runs, as a 24-app
+        # exhaustive space (7.9 M candidates) is far beyond this test.
+        gateway = self.make_http_gateway(
+            service=ServiceConfig(machine=model_machine(), debounce=60.0)
+        )
+        clients = 24
+
+        async def session(name):
+            def post(message):
+                return http_exchange(gateway, http_post_command(message))
+
+            loop = asyncio.get_running_loop()
+            return [
+                await post(Register(name=name, app=AppSpec.memory_bound(name))),
+                # Timed once registered: a report may not predate it.
+                await post(ProgressReport(name=name, time=loop.time())),
+                await post(Deregister(name=name)),
+            ]
+
+        async def scenario():
+            await gateway.start()
+            names = [f"app{i}" for i in range(clients)]
+            results = await asyncio.gather(*(session(n) for n in names))
+            for name, replies in zip(names, results):
+                assert [
+                    (status, body["type"], body["name"], body["in_reply_to"])
+                    for status, body in replies
+                ] == [
+                    (200, "ack", name, "register"),
+                    (200, "ack", name, "progress-report"),
+                    (200, "ack", name, "deregister"),
+                ]
+            assert gateway.http_requests == 3 * clients
+            status, body = await http_exchange(
+                gateway, b"GET /healthz HTTP/1.1\r\n\r\n"
+            )
+            assert (status, body["sessions"]) == (200, 0)
+            await gateway.stop()
+
+        run(scenario())
+        assert not [
+            record.getMessage()
+            for record in caplog.records
+            if record.name == "asyncio" and record.levelno >= logging.ERROR
+        ]
+
+    @pytest.mark.parametrize(
+        "name, target",
+        [
+            ("a b", "a%20b"),
+            ("x/y", "x%2Fy"),
+            ("café", "caf%C3%A9"),
+            ("mem", "mem?verbose=1"),
+        ],
+        ids=["space", "encoded-slash", "non-ascii", "query-string"],
+    )
+    def test_allocation_lookup_by_encoded_name(self, name, target):
+        gateway = self.make_http_gateway()
+
+        async def scenario():
+            service = await gateway.start()
+            status, _ = await http_exchange(
+                gateway,
+                http_post_command(
+                    Register(name=name, app=AppSpec.memory_bound(name))
+                ),
+            )
+            assert status == 200
+            assert await until(lambda: service.reoptimizations >= 1)
+            status, body = await http_exchange(
+                gateway, f"GET /v1/allocation/{target} HTTP/1.1\r\n\r\n".encode()
+            )
+            assert status == 200, body
+            assert body["name"] == name
+            assert body["per_node"] == [8, 8, 8, 8]
             await gateway.stop()
 
         run(scenario())
