@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.agent.protocol import StatusReport
+from repro.agent.strategies import ModelGuidedStrategy
 from repro.core.arbitration import (
     AgentArbiter,
     CooperativeConsensus,
@@ -11,6 +13,8 @@ from repro.core.arbitration import (
 )
 from repro.core.spec import AppSpec
 from repro.errors import AllocationError
+from repro.machine import heterogeneous_machine, model_machine
+from repro.obs import capture
 
 
 @pytest.fixture
@@ -104,6 +108,63 @@ class TestAgentArbiter:
     def test_log_mentions_search(self, paper_machine, requests):
         out = AgentArbiter().decide(paper_machine, requests)
         assert any("search" in line for line in out.log)
+
+
+class TestSearchChoice:
+    """Both model-guided deciders choose their search by one rule.
+
+    :class:`AgentArbiter` and
+    :class:`~repro.agent.strategies.ModelGuidedStrategy` run exhaustive
+    search while the node-symmetric space fits ``exhaustive_limit`` and
+    hill climbing otherwise, or when the nodes differ in core count.
+    The paper workload's space has 165 candidates.
+    """
+
+    @staticmethod
+    def _arbiter(machine, apps, limit):
+        AgentArbiter(exhaustive_limit=limit).decide(
+            machine, [ResourceRequest(spec=a) for a in apps]
+        )
+
+    @staticmethod
+    def _strategy(machine, apps, limit):
+        cores = tuple(machine.cores_per_node)
+        reports = {
+            a.name: StatusReport(
+                runtime_name=a.name,
+                time=0.0,
+                tasks_executed=0,
+                active_threads=sum(cores),
+                blocked_threads=0,
+                active_per_node=cores,
+                workers_per_node=cores,
+                queue_length=0,
+            )
+            for a in apps
+        }
+        ModelGuidedStrategy(apps, exhaustive_limit=limit).decide(
+            machine, reports
+        )
+
+    @pytest.mark.parametrize("site", ["_arbiter", "_strategy"])
+    @pytest.mark.parametrize(
+        "machine, limit, search",
+        [
+            (model_machine, 165, "exhaustive"),
+            (model_machine, 164, "hillclimb"),
+            (heterogeneous_machine, 10**9, "hillclimb"),
+        ],
+        ids=["space-fits", "space-too-big", "unequal-nodes"],
+    )
+    def test_search_follows_space_size(
+        self, site, machine, limit, search, paper_apps
+    ):
+        with capture() as cap:
+            getattr(self, site)(machine(), paper_apps, limit)
+        searches = [
+            s.name for s in cap.tracer.spans if s.name.startswith("optimizer/")
+        ]
+        assert searches == [f"optimizer/{search}"]
 
 
 class TestCooperativeConsensus:
