@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.agent.protocol import CommandKind, StatusReport, ThreadCommand
 from repro.core.allocation import ThreadAllocation
+from repro.core.candidates import CandidateSpace
 from repro.core.model import NumaPerformanceModel
 from repro.core.optimizer import ExhaustiveSearch, HillClimbSearch
 from repro.core.spec import AppSpec
@@ -222,14 +223,8 @@ class ModelGuidedStrategy(AgentStrategy):
             or self._rounds % self.replan_every != 0
         ):
             return {}
-        from math import comb
-
-        cores = machine.nodes[0].num_cores
-        space = comb(cores + len(self.specs) - 1, len(self.specs) - 1)
-        if (
-            len(set(machine.cores_per_node)) == 1
-            and space <= self.exhaustive_limit
-        ):
+        space = CandidateSpace(machine, len(self.specs))
+        if space.symmetric and space.symmetric_size() <= self.exhaustive_limit:
             # Deliberate periodic full re-plan, throttled by replan_every.
             result = ExhaustiveSearch(self.model).search(  # repro: noqa[PERF002]
                 machine, self.specs

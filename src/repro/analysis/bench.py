@@ -9,8 +9,9 @@ paper's model machine and a four-application workload:
   one batched :meth:`~repro.core.model.NumaPerformanceModel.predict_scores`
   call over the same candidates (cold cache), and the same call again
   with every row memoised (warm cache).
-* ``search/*`` — end-to-end searches, scalar (``use_fast=False``) vs
-  fast path, measured in model evaluations per second.
+* ``search/*`` — end-to-end searches, each loop run through the scalar
+  evaluator (``use_fast=False``) and the fast one, measured in model
+  evaluations per second.
 * ``delta/*`` — churn-time re-optimization on a ten-application
   workload (24,310 symmetric candidates): a full exhaustive re-search
   with a cold and a warm score cache versus the incremental

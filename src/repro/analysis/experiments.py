@@ -7,6 +7,7 @@ values, so benchmarks, tests and EXPERIMENTS.md all consume the same code.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -26,6 +27,7 @@ from repro.core import (
     NodeExclusivePolicy,
     NumaPerformanceModel,
     Placement,
+    Prediction,
     ThreadAllocation,
     UnevenSharePolicy,
     worked_example,
@@ -514,21 +516,18 @@ def run_sublinear() -> SublinearResult:
     model = NumaPerformanceModel()
     fair = EvenSharePolicy().allocate(machine, apps)
     fair_g = model.predict(machine, apps, fair).total_gflops
-    # Search with a 1-thread-per-app floor so nobody is starved outright.
-    best = None
-    from repro.core.candidates import enumerate_symmetric_allocations
 
-    for alloc in enumerate_symmetric_allocations(machine, apps):
-        if np.any(alloc.counts.min(axis=1) < 1):
-            continue
-        g = model.predict(machine, apps, alloc).total_gflops
-        if best is None or g > best[0]:
-            best = (g, alloc)
-    assert best is not None
+    def floored_gflops(prediction: Prediction) -> float:
+        # A 1-thread-per-app floor so nobody is starved outright.
+        if prediction.allocation.counts.min() < 1:
+            return -math.inf
+        return prediction.total_gflops
+
+    best = ExhaustiveSearch(model, floored_gflops).search(machine, apps)
     return SublinearResult(
         fair_gflops=fair_g,
-        optimal_gflops=best[0],
-        optimal_allocation=best[1],
+        optimal_gflops=best.score,
+        optimal_allocation=best.allocation,
     )
 
 

@@ -68,7 +68,7 @@ from repro.core.optimizer import (
     ExhaustiveSearch,
     GreedySearch,
     HillClimbSearch,
-    OptimizerConfig,
+    ScalarEvaluator,
     SearchResult,
     min_app_gflops,
     total_gflops,
@@ -107,6 +107,7 @@ __all__ = [
     "share_bandwidth_batch",
     "share_node_bandwidth_batch",
     "FastEvaluator",
+    "ScalarEvaluator",
     "ModelTables",
     "ScoreCache",
     "as_counts_batch",
@@ -120,7 +121,6 @@ __all__ = [
     "parallel_app_gflops",
     "release_pool",
     "shutdown_pools",
-    "OptimizerConfig",
     "NumaPerformanceModel",
     "Prediction",
     "AppResult",

@@ -30,6 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.allocation import ThreadAllocation
+from repro.core.candidates import CandidateSpace
 from repro.core.model import NumaPerformanceModel
 from repro.core.optimizer import (
     ExhaustiveSearch,
@@ -197,14 +198,6 @@ class AgentArbiter:
         self.objective = objective
         self.exhaustive_limit = exhaustive_limit
 
-    def _symmetric_space_size(
-        self, machine: MachineTopology, n_apps: int
-    ) -> int:
-        from math import comb
-
-        cores = machine.nodes[0].num_cores
-        return comb(cores + n_apps - 1, n_apps - 1)
-
     def decide(
         self,
         machine: MachineTopology,
@@ -214,12 +207,8 @@ class AgentArbiter:
         _check_requests(machine, requests)
         specs = [r.spec for r in requests]
         log: list[str] = []
-        symmetric_ok = len(set(machine.cores_per_node)) == 1
-        if (
-            symmetric_ok
-            and self._symmetric_space_size(machine, len(specs))
-            <= self.exhaustive_limit
-        ):
+        space = CandidateSpace(machine, len(specs))
+        if space.symmetric and space.symmetric_size() <= self.exhaustive_limit:
             search = ExhaustiveSearch(self.model, self.objective)
             result = search.search(machine, specs)
             log.append(

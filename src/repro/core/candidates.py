@@ -10,13 +10,16 @@ in :mod:`repro.core.delta` climbs — so every consumer sees the same
 move sets in the same order.
 
 Enumeration order is a public contract, not an implementation detail:
-the batched search paths pick winners with ``argmax`` (first maximum)
-over a score vector and rely on that being the same candidate the
-scalar paths keep with a strict ``>`` comparison, which is only true
-because both paths enumerate identically.  The orders pinned here are
-the ones ``tests/test_core_fasteval.py`` locked in when the fast paths
-landed, and ``tests/test_core_candidates.py`` pins them against this
-module directly:
+every search picks winners with ``argmax`` (first maximum) over a
+score vector, so the order decides ties.  The delta audit scores the
+same symmetric tensor as the exhaustive search and takes the same
+first maximum, which keeps it identical to that search, ties
+included; :meth:`CandidateSpace.symmetric_tensor` rows follow
+:meth:`CandidateSpace.symmetric_allocations`, the reference
+enumeration.  The orders pinned here are the ones
+``tests/test_core_fasteval.py`` locked in when the fast paths landed,
+and ``tests/test_core_candidates.py`` pins them against this module
+directly:
 
 * symmetric allocations follow :func:`enumerate_node_compositions`
   (stars and bars);

@@ -40,11 +40,17 @@ somehow *regressed* the objective beyond ``regression_tolerance``
 (joins can never lower the symmetric optimum, so a regression proves
 the climb got stuck).  Every search opens a ``delta/search`` span.
 
-Scoring reuses the batched
-:meth:`~repro.core.model.NumaPerformanceModel.predict_scores` fast
-path and its persistent :class:`~repro.core.fasteval.ScoreCache`
-through the shared model.  The repair and climb batches are cached row
-by row; the audit and the full fall-back cache their whole space as
+Every phase scores its batches through the evaluator every search
+uses, so ``use_fast`` picks the evaluator, not a second copy of the
+pipeline.  By default that is
+:class:`~repro.core.fasteval.FastEvaluator`: the batched
+:meth:`~repro.core.model.NumaPerformanceModel.predict_scores` path and
+its persistent :class:`~repro.core.fasteval.ScoreCache` through the
+shared model.  ``use_fast=False``, or an objective with no ``batched``
+form, selects :class:`~repro.core.optimizer.ScalarEvaluator`, which
+scores row by row with the reference model and caches nothing.  With
+the fast evaluator the repair and climb batches are cached row by
+row, and the audit and the full fall-back cache their whole space as
 one entry.  The cache only hits when the very same workload returns —
 the same app specs in the same order, since the fingerprint is the
 ordered spec tuple — so the searcher's speed comes from scoring
@@ -324,7 +330,7 @@ class DeltaSearch(_SearchBase):
         ]
         trajectory: list[float] = []
 
-        score = self._repair(machine, apps, space, evaluator, comp, trajectory)
+        score = self._repair(space, evaluator, comp, trajectory)
         # The restricted phase only pays off when the full neighbourhood
         # is large: below the threshold one batched call covers every
         # move, so the extra restricted rounds are pure call overhead.
@@ -345,7 +351,7 @@ class DeltaSearch(_SearchBase):
             <= self.audit_limit
         ):
             audited = True
-            corrected = self._audit(machine, apps, space, evaluator, comp)
+            corrected = self._audit(space, evaluator, comp)
             if corrected:
                 self.audit_corrections += 1
                 if OBS.enabled:
@@ -419,37 +425,8 @@ class DeltaSearch(_SearchBase):
             comp[i] = row[0]
         return comp
 
-    def _scores(
-        self,
-        machine: MachineTopology,
-        apps: tuple[AppSpec, ...],
-        evaluator,
-        batch: np.ndarray,
-        *,
-        space: tuple | None = None,
-    ) -> np.ndarray:
-        """Objective score of each candidate, batched or scalar path.
-
-        ``space`` names a whole symmetric tensor (batched path only).
-        """
-        if evaluator is not None:
-            return self._score_batch(evaluator, batch, space=space)
-        names = tuple(a.name for a in apps)
-        return np.array(
-            [
-                self._score(
-                    machine,
-                    apps,
-                    ThreadAllocation(app_names=names, counts=counts),
-                )[0]
-                for counts in batch
-            ]
-        )
-
     def _repair(
         self,
-        machine: MachineTopology,
-        apps: tuple[AppSpec, ...],
         space: CandidateSpace,
         evaluator,
         comp: np.ndarray,
@@ -466,7 +443,7 @@ class DeltaSearch(_SearchBase):
         if not space.composition_additions(comp):
             return None
         score = float(
-            self._scores(machine, apps, evaluator, space.expand(comp)[None])[0]
+            self._score_batch(evaluator, space.expand(comp)[None])[0]
         )
         trajectory.append(score)
         while True:
@@ -474,7 +451,7 @@ class DeltaSearch(_SearchBase):
             if not additions:
                 break
             batch = space.addition_composition_batch(comp, additions)
-            scores = self._scores(machine, apps, evaluator, batch)
+            scores = self._score_batch(evaluator, batch)
             k = int(np.argmax(scores))
             if not self.require_full and scores[k] < score - _EPS:
                 break
@@ -498,7 +475,11 @@ class DeltaSearch(_SearchBase):
 
         When ``score`` is ``None`` (the seed has not been scored yet)
         the seed row rides along in the first round's batch instead of
-        costing a one-candidate evaluation call of its own.
+        costing a one-candidate evaluation call of its own.  ``machine``
+        and ``apps`` are not read (``evaluator`` is bound to them); they
+        stay in the signature because
+        ``tests/test_core_delta.py::TestFallbacks::test_regression_guard``
+        substitutes a climb with this positional signature.
         """
         for _ in range(self.max_rounds):
             moves = space.composition_moves(comp, movable)
@@ -507,12 +488,12 @@ class DeltaSearch(_SearchBase):
             batch = space.composition_batch(comp, moves)
             if score is None:
                 batch = np.concatenate([space.expand(comp)[None], batch])
-                scores = self._scores(machine, apps, evaluator, batch)
+                scores = self._score_batch(evaluator, batch)
                 score = float(scores[0])
                 trajectory.append(score)
                 scores = scores[1:]
             else:
-                scores = self._scores(machine, apps, evaluator, batch)
+                scores = self._score_batch(evaluator, batch)
             k = int(np.argmax(scores))
             if scores[k] <= score + _EPS:
                 break
@@ -524,12 +505,7 @@ class DeltaSearch(_SearchBase):
         return score
 
     def _audit(
-        self,
-        machine: MachineTopology,
-        apps: tuple[AppSpec, ...],
-        space: CandidateSpace,
-        evaluator,
-        comp: np.ndarray,
+        self, space: CandidateSpace, evaluator, comp: np.ndarray
     ) -> bool:
         """Score the whole (small) space; adopt its winner on mismatch.
 
@@ -542,9 +518,7 @@ class DeltaSearch(_SearchBase):
         search's climb just scored still hit.
         """
         tensor = space.symmetric_tensor(require_full=self.require_full)
-        scores = self._scores(
-            machine,
-            apps,
+        scores = self._score_batch(
             evaluator,
             tensor,
             space=space.symmetric_key(require_full=self.require_full),

@@ -678,9 +678,13 @@ class FastEvaluator:
     """Score batches of candidate allocations for one search.
 
     Binds a model, a workload and an objective's batched form into one
-    callable the optimizers drive.  Construction fails soft: use
-    :meth:`create`, which returns ``None`` when the objective has no
-    batched form, letting searches fall back to the scalar path.
+    callable the optimizers drive.  It is one of the two evaluators a
+    search loop runs through; the other,
+    :class:`~repro.core.optimizer.ScalarEvaluator`, has the same
+    :meth:`scores` signature and scores row by row with the reference
+    model.  Construction fails soft: use :meth:`create`, which returns
+    ``None`` when the objective has no batched form, and the search
+    then uses the scalar evaluator.
     """
 
     def __init__(
@@ -708,7 +712,7 @@ class FastEvaluator:
         An objective opts into the fast path by carrying a ``batched``
         attribute (see :mod:`repro.core.optimizer`); arbitrary callables
         over full :class:`~repro.core.model.Prediction` objects cannot
-        be vectorised and keep the reference path.
+        be vectorised and are scored by the scalar evaluator.
         """
         batched = getattr(objective, "batched", None)
         if batched is None:

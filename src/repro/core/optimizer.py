@@ -23,26 +23,35 @@ Candidate enumeration is delegated to
 :class:`~repro.core.candidates.CandidateSpace`, the shared layer that
 also powers the incremental churn-time searcher in
 :mod:`repro.core.delta`; the enumeration orders are pinned there (and
-by ``tests/test_core_candidates.py``), which is what lets the batched
-paths below pick winners with a plain ``argmax``.
+by ``tests/test_core_candidates.py``), so a plain ``argmax`` breaks
+ties the same way in every search.
 
-Fast path
----------
-Every search drives the batched evaluation engine
-(:mod:`repro.core.fasteval`) when it can: exhaustive search scores its
-whole symmetric space in one
-:meth:`~repro.core.model.NumaPerformanceModel.predict_scores` call,
-greedy and hill climbing batch each round's candidate set, and annealing
-funnels its single proposals through the memo cache.  The fast path is
-only taken when the objective carries a ``batched`` form (the built-in
-objectives all do); custom objectives over full
-:class:`~repro.core.model.Prediction` objects transparently fall back to
-the scalar reference path, as does ``use_fast=False``.  Either way the
-returned :class:`SearchResult` carries a ground-truth prediction and
-score computed by the scalar model on the winning allocation, and the
-candidate enumeration order is identical, so the deterministic searches
-return the same winner (ties and all) as the reference path (annealing
-may diverge on exact ties; see its docstring).
+Evaluators
+----------
+Each search is one loop written against an evaluator: an object whose
+``scores(counts, *, space=None)`` turns a ``(B, apps, nodes)`` tensor of
+candidates into ``B`` objective scores.  There are two:
+
+* :class:`~repro.core.fasteval.FastEvaluator` (the default) runs the
+  batched engine of :mod:`repro.core.fasteval`.  Exhaustive search
+  scores its whole symmetric space in one
+  :meth:`~repro.core.model.NumaPerformanceModel.predict_scores` call,
+  greedy and hill climbing score each round's candidate set in one
+  call, and annealing sends its single proposals through the memo
+  cache.  It needs an objective with a ``batched`` form, which the
+  built-in objectives all carry.
+* :class:`ScalarEvaluator` scores each candidate with the reference
+  :meth:`~repro.core.model.NumaPerformanceModel.predict` and then the
+  objective.  Searches use it for custom objectives over full
+  :class:`~repro.core.model.Prediction` objects and when
+  ``use_fast=False``.
+
+The loop picks winners with ``argmax`` (the first maximum) in the pinned
+enumeration order of :class:`~repro.core.candidates.CandidateSpace`,
+and the returned :class:`SearchResult` carries the reference model's
+prediction and score of the winning allocation.  The deterministic
+searches therefore return the same winner, ties and all, through either
+evaluator; annealing may diverge on exact ties (see its docstring).
 """
 
 from __future__ import annotations
@@ -64,11 +73,11 @@ from repro.obs import OBS, CounterHandle, GaugeHandle
 
 __all__ = [
     "Objective",
-    "OptimizerConfig",
     "total_gflops",
     "weighted_gflops",
     "min_app_gflops",
     "SearchResult",
+    "ScalarEvaluator",
     "ExhaustiveSearch",
     "GreedySearch",
     "HillClimbSearch",
@@ -139,37 +148,6 @@ min_app_gflops.batched = _min_app_gflops_batched
 
 
 @dataclass(frozen=True)
-class OptimizerConfig:
-    """Search-wide knobs shared by every optimizer.
-
-    A single value the serve layer (and tests) can thread through all
-    searches instead of repeating keyword arguments.  Every search
-    accepts ``config=`` plus per-call overrides; an explicit keyword
-    always wins over the config value.
-
-    Attributes
-    ----------
-    use_fast:
-        Drive the batched evaluation engine when the objective supports
-        it (default).  ``False`` forces the scalar reference path.
-    workers:
-        Process count for big score batches (:mod:`repro.core.
-        parallel`).  ``None`` leaves the model's setting alone (which
-        defaults to the ``REPRO_WORKERS`` environment variable); ``0``
-        forces serial scoring.  Search results are byte-identical for
-        every worker count.
-    parallel_min_batch:
-        Smallest batch routed through the worker pool; ``None`` keeps
-        the model's threshold
-        (:data:`repro.core.parallel.DEFAULT_MIN_BATCH`).
-    """
-
-    use_fast: bool = True
-    workers: int | None = None
-    parallel_min_batch: int | None = None
-
-
-@dataclass(frozen=True)
 class SearchResult:
     """Outcome of an allocation search."""
 
@@ -187,8 +165,57 @@ class SearchResult:
         )
 
 
+class ScalarEvaluator:
+    """Score candidates one at a time through the reference model.
+
+    The evaluator for objectives with no ``batched`` form and for
+    ``use_fast=False``: each ``(A, N)`` row of a batch becomes a
+    :class:`~repro.core.allocation.ThreadAllocation`, the scalar
+    :meth:`~repro.core.model.NumaPerformanceModel.predict` turns it into
+    a full :class:`~repro.core.model.Prediction`, and the objective
+    scores that.  It has :class:`~repro.core.fasteval.FastEvaluator`'s
+    :meth:`scores` signature, so each search is one loop whichever
+    evaluator it drives.
+    """
+
+    def __init__(
+        self,
+        model: NumaPerformanceModel,
+        machine: MachineTopology,
+        apps: Sequence[AppSpec],
+        objective: Objective,
+    ) -> None:
+        self.model = model
+        self.machine = machine
+        self.apps = tuple(apps)
+        self.objective = objective
+        self._names = tuple(a.name for a in apps)
+
+    def scores(
+        self, counts: np.ndarray, *, space: tuple | None = None
+    ) -> np.ndarray:
+        """Objective score of each candidate in a ``(B, A, N)`` tensor.
+
+        ``space`` is accepted for the shared signature and not read:
+        this evaluator caches nothing.
+        """
+        return np.array(
+            [
+                self.objective(
+                    self.model.predict(
+                        self.machine,
+                        self.apps,
+                        ThreadAllocation(app_names=self._names, counts=row),
+                    )
+                )
+                for row in counts
+            ],
+            dtype=float,
+        )
+
+
 class _SearchBase:
-    """Shared plumbing: model evaluation with counting.
+    """Shared plumbing: the evaluator, counted scoring and the result.
 
     Every search is instrumented through :mod:`repro.obs` when enabled:
     one span per :meth:`search` call (``optimizer/<search>``), the
@@ -205,44 +232,24 @@ class _SearchBase:
         model: NumaPerformanceModel | None = None,
         objective: Objective = total_gflops,
         *,
-        use_fast: bool | None = None,
-        workers: int | None = None,
-        config: OptimizerConfig | None = None,
+        use_fast: bool = True,
     ) -> None:
-        self.config = config or OptimizerConfig()
         self.model = model or NumaPerformanceModel()
         self.objective = objective
-        self.use_fast = (
-            self.config.use_fast if use_fast is None else use_fast
-        )
-        workers = self.config.workers if workers is None else workers
-        if workers is not None:
-            self.model.set_workers(
-                workers, min_batch=self.config.parallel_min_batch
-            )
+        self.use_fast = use_fast
         self._evaluations = 0
-
-    def _score(
-        self,
-        machine: MachineTopology,
-        apps: Sequence[AppSpec],
-        allocation: ThreadAllocation,
-    ) -> tuple[float, Prediction]:
-        self._evaluations += 1
-        if OBS.enabled:
-            _EVALUATIONS.add()
-        prediction = self.model.predict(machine, apps, allocation)
-        return self.objective(prediction), prediction
 
     def _evaluator(
         self, machine: MachineTopology, apps: Sequence[AppSpec]
-    ) -> FastEvaluator | None:
-        """The batched evaluator, or ``None`` → take the scalar path."""
-        if not self.use_fast:
-            return None
-        return FastEvaluator.create(
-            self.model, machine, apps, self.objective
-        )
+    ) -> FastEvaluator | ScalarEvaluator:
+        """The batched evaluator if enabled and batchable, else the scalar."""
+        if self.use_fast:
+            fast = FastEvaluator.create(
+                self.model, machine, apps, self.objective
+            )
+            if fast is not None:
+                return fast
+        return ScalarEvaluator(self.model, machine, apps, self.objective)
 
     def _space(
         self, machine: MachineTopology, apps: Sequence[AppSpec]
@@ -252,7 +259,7 @@ class _SearchBase:
 
     def _score_batch(
         self,
-        evaluator: FastEvaluator,
+        evaluator: FastEvaluator | ScalarEvaluator,
         counts: np.ndarray,
         *,
         space: tuple | None = None,
@@ -276,12 +283,29 @@ class _SearchBase:
     ) -> tuple[float, Prediction]:
         """Ground-truth (score, prediction) of the winning allocation.
 
-        Runs the scalar reference model so the returned
-        :class:`SearchResult` is bit-identical to the scalar path's.  Not
-        counted as a search evaluation.
+        Runs the scalar reference model, so the returned
+        :class:`SearchResult` is the same whichever evaluator scored the
+        candidates.  Not counted as a search evaluation.
         """
         prediction = self.model.predict(machine, apps, allocation)
         return self.objective(prediction), prediction
+
+    def _result(
+        self,
+        machine: MachineTopology,
+        apps: Sequence[AppSpec],
+        allocation: ThreadAllocation,
+        trajectory: Sequence[float] = (),
+    ) -> SearchResult:
+        """The :class:`SearchResult` of a search that chose ``allocation``."""
+        score, prediction = self._exact(machine, apps, allocation)
+        return SearchResult(
+            allocation=allocation,
+            prediction=prediction,
+            score=score,
+            evaluations=self._evaluations,
+            trajectory=tuple(trajectory),
+        )
 
     def _span(self, machine: MachineTopology, apps: Sequence[AppSpec]):
         """Open the per-search span (a no-op context manager when off)."""
@@ -300,14 +324,32 @@ class _SearchBase:
         return result
 
 
+def _start_allocation(
+    machine: MachineTopology,
+    apps: Sequence[AppSpec],
+    start: ThreadAllocation | None,
+) -> ThreadAllocation:
+    """``start`` (default: even share with leftovers), validated."""
+    if start is None:
+        from repro.core.policies import EvenSharePolicy
+
+        start = EvenSharePolicy(distribute_leftover=True).allocate(
+            machine, apps
+        )
+    start.validate(machine)
+    return start
+
+
 class ExhaustiveSearch(_SearchBase):
     """Evaluate every node-symmetric allocation; exact in that subspace.
 
-    The fast path scores the memoised symmetric tensor in one
-    :meth:`~repro.core.model.NumaPerformanceModel.predict_scores` call
-    named by the tensor's key, so the model's score cache keeps the
-    whole space's scores as one entry: the same workload searched
-    again costs one cache hit and no kernel call.
+    The whole space is scored in one evaluator call on the memoised
+    symmetric tensor, named by the tensor's key.  With the fast
+    evaluator that is one
+    :meth:`~repro.core.model.NumaPerformanceModel.predict_scores` call,
+    and the model's score cache keeps the whole space's scores as one
+    entry: the same workload searched again costs one cache hit and no
+    kernel call.
 
     Parameters
     ----------
@@ -315,9 +357,9 @@ class ExhaustiveSearch(_SearchBase):
         Whether every core must be occupied.  Allowing idle cores enlarges
         the space but can win when all applications are memory bound.
     use_fast:
-        Score the whole space in one batched model call when the
-        objective supports it (default).  ``False`` forces the scalar
-        reference path.
+        Score with the batched evaluator when the objective supports it
+        (default).  ``False`` scores every candidate with the scalar
+        reference model.
     """
 
     span_name = "exhaustive"
@@ -328,14 +370,9 @@ class ExhaustiveSearch(_SearchBase):
         objective: Objective = total_gflops,
         *,
         require_full: bool = True,
-        use_fast: bool | None = None,
-        workers: int | None = None,
-        config: OptimizerConfig | None = None,
+        use_fast: bool = True,
     ) -> None:
-        super().__init__(
-            model, objective, use_fast=use_fast, workers=workers,
-            config=config,
-        )
+        super().__init__(model, objective, use_fast=use_fast)
         self.require_full = require_full
 
     def search(
@@ -349,69 +386,36 @@ class ExhaustiveSearch(_SearchBase):
         self, machine: MachineTopology, apps: Sequence[AppSpec]
     ) -> SearchResult:
         self._evaluations = 0
-        evaluator = self._evaluator(machine, apps)
-        if evaluator is not None:
-            return self._run_batched(machine, apps, evaluator)
-        best: tuple[float, ThreadAllocation, Prediction] | None = None
-        for alloc in self._space(machine, apps).symmetric_allocations(
-            apps, require_full=self.require_full
-        ):
-            score, pred = self._score(machine, apps, alloc)
-            if best is None or score > best[0]:
-                best = (score, alloc, pred)
-        if best is None:
-            raise AllocationError("empty search space")
-        return SearchResult(
-            allocation=best[1],
-            prediction=best[2],
-            score=best[0],
-            evaluations=self._evaluations,
-        )
-
-    def _run_batched(
-        self,
-        machine: MachineTopology,
-        apps: Sequence[AppSpec],
-        evaluator: FastEvaluator,
-    ) -> SearchResult:
         space = self._space(machine, apps)
         counts = space.symmetric_tensor(require_full=self.require_full)
         if len(counts) == 0:
             raise AllocationError("empty search space")
         scores = self._score_batch(
-            evaluator,
+            self._evaluator(machine, apps),
             counts,
             space=space.symmetric_key(require_full=self.require_full),
         )
-        # argmax returns the first maximum — the same candidate the
-        # scalar loop's strict ">" keeps, since the tensor rows follow
-        # the same enumeration order as symmetric_allocations.
+        # argmax returns the first maximum: ties go to the earliest
+        # candidate in the pinned enumeration order.
         best = int(np.argmax(scores))
         allocation = ThreadAllocation(
             app_names=tuple(a.name for a in apps),
             counts=counts[best].copy(),
         )
-        score, prediction = self._exact(machine, apps, allocation)
-        return SearchResult(
-            allocation=allocation,
-            prediction=prediction,
-            score=score,
-            evaluations=self._evaluations,
-        )
+        return self._result(machine, apps, allocation)
 
 
 class GreedySearch(_SearchBase):
     """Add one thread at a time where the marginal objective gain is best.
 
     Starts from the empty allocation and performs
-    ``sum(cores per node)`` rounds; each round tries every (app, node)
-    placement with a free core and keeps the best.  Runs in
-    ``O(total_cores * apps * nodes)`` model evaluations and may place
-    different compositions on different nodes (unlike
+    ``sum(cores per node)`` rounds; each round scores every (app, node)
+    placement with a free core in one evaluator call and keeps the best.
+    Runs in ``O(total_cores * apps * nodes)`` model evaluations and may
+    place different compositions on different nodes (unlike
     :class:`ExhaustiveSearch`).  Stops early if every possible addition
     lowers the objective (only possible with non-throughput objectives or
-    contention-heavy workloads).  With a batchable objective each round's
-    candidate set is scored in one model call.
+    contention-heavy workloads).
     """
 
     span_name = "greedy"
@@ -428,55 +432,6 @@ class GreedySearch(_SearchBase):
     ) -> SearchResult:
         self._evaluations = 0
         evaluator = self._evaluator(machine, apps)
-        if evaluator is not None:
-            return self._run_batched(machine, apps, evaluator)
-        names = tuple(a.name for a in apps)
-        space = self._space(machine, apps)
-        counts = np.zeros((len(apps), machine.num_nodes), dtype=np.int64)
-        free = np.array([n.num_cores for n in machine.nodes], dtype=np.int64)
-        current_score = -math.inf
-        best_pred: Prediction | None = None
-        trajectory: list[float] = []
-        while free.sum() > 0:
-            best_step: tuple[float, int, int, Prediction] | None = None
-            for a, n in space.addition_moves(free):
-                counts[a, n] += 1
-                alloc = ThreadAllocation(
-                    app_names=names, counts=counts.copy()
-                )
-                score, pred = self._score(machine, apps, alloc)
-                counts[a, n] -= 1
-                if best_step is None or score > best_step[0]:
-                    best_step = (score, a, n, pred)
-            if best_step is None:
-                break
-            score, a, n, pred = best_step
-            if score < current_score - 1e-12:
-                break  # every addition hurts; stop with idle cores
-            counts[a, n] += 1
-            free[n] -= 1
-            current_score = score
-            best_pred = pred
-            trajectory.append(score)
-        if best_pred is None:
-            raise AllocationError("greedy search placed no threads")
-        return SearchResult(
-            # Copy: `counts` is this method's scratch buffer, and the
-            # result must not be a window onto it.
-            allocation=ThreadAllocation(app_names=names, counts=counts.copy()),
-            prediction=best_pred,
-            score=current_score,
-            evaluations=self._evaluations,
-            trajectory=tuple(trajectory),
-        )
-
-    def _run_batched(
-        self,
-        machine: MachineTopology,
-        apps: Sequence[AppSpec],
-        evaluator: FastEvaluator,
-    ) -> SearchResult:
-        names = tuple(a.name for a in apps)
         space = self._space(machine, apps)
         counts = np.zeros((len(apps), machine.num_nodes), dtype=np.int64)
         free = np.array([n.num_cores for n in machine.nodes], dtype=np.int64)
@@ -484,7 +439,6 @@ class GreedySearch(_SearchBase):
         placed = False
         trajectory: list[float] = []
         while free.sum() > 0:
-            # Candidate additions in the scalar loop's (app, node) order.
             moves = space.addition_moves(free)
             if not moves:
                 break
@@ -503,15 +457,10 @@ class GreedySearch(_SearchBase):
             trajectory.append(score)
         if not placed:
             raise AllocationError("greedy search placed no threads")
-        allocation = ThreadAllocation(app_names=names, counts=counts.copy())
-        score, prediction = self._exact(machine, apps, allocation)
-        return SearchResult(
-            allocation=allocation,
-            prediction=prediction,
-            score=score,
-            evaluations=self._evaluations,
-            trajectory=tuple(trajectory),
+        allocation = ThreadAllocation(
+            app_names=tuple(a.name for a in apps), counts=counts.copy()
         )
+        return self._result(machine, apps, allocation, trajectory)
 
 
 class HillClimbSearch(_SearchBase):
@@ -519,8 +468,8 @@ class HillClimbSearch(_SearchBase):
 
     A move takes one thread of one app on one node and gives it to another
     app on the same node (the machine stays fully utilised).  Terminates at
-    a local optimum of the move neighbourhood.  With a batchable objective
-    the whole neighbourhood of each round is scored in one model call.
+    a local optimum of the move neighbourhood.  Each round scores the
+    whole neighbourhood in one evaluator call.
     """
 
     span_name = "hillclimb"
@@ -531,14 +480,9 @@ class HillClimbSearch(_SearchBase):
         objective: Objective = total_gflops,
         *,
         max_rounds: int = 1000,
-        use_fast: bool | None = None,
-        workers: int | None = None,
-        config: OptimizerConfig | None = None,
+        use_fast: bool = True,
     ) -> None:
-        super().__init__(
-            model, objective, use_fast=use_fast, workers=workers,
-            config=config,
-        )
+        super().__init__(model, objective, use_fast=use_fast)
         self.max_rounds = max_rounds
 
     def search(
@@ -558,54 +502,14 @@ class HillClimbSearch(_SearchBase):
         start: ThreadAllocation | None = None,
     ) -> SearchResult:
         self._evaluations = 0
-        if start is None:
-            from repro.core.policies import EvenSharePolicy
-
-            start = EvenSharePolicy(distribute_leftover=True).allocate(
-                machine, apps
-            )
-        start.validate(machine)
+        current = _start_allocation(machine, apps, start)
         evaluator = self._evaluator(machine, apps)
-        if evaluator is not None:
-            return self._run_batched(machine, apps, start, evaluator)
-        current = start
         names = current.app_names
-        space = self._space(machine, apps)
-        score, pred = self._score(machine, apps, current)
-        trajectory = [score]
-        for _ in range(self.max_rounds):
-            best_move: tuple[float, ThreadAllocation, Prediction] | None = None
-            for si, di, n in space.thread_moves(current.counts):
-                cand = current.move_thread(names[si], names[di], n)
-                s, p = self._score(machine, apps, cand)
-                if best_move is None or s > best_move[0]:
-                    best_move = (s, cand, p)
-            if best_move is None or best_move[0] <= score + 1e-12:
-                break
-            score, current, pred = best_move
-            trajectory.append(score)
-        return SearchResult(
-            allocation=current,
-            prediction=pred,
-            score=score,
-            evaluations=self._evaluations,
-            trajectory=tuple(trajectory),
-        )
-
-    def _run_batched(
-        self,
-        machine: MachineTopology,
-        apps: Sequence[AppSpec],
-        start: ThreadAllocation,
-        evaluator: FastEvaluator,
-    ) -> SearchResult:
-        names = start.app_names
-        current = start
         space = self._space(machine, apps)
         score = float(self._score_batch(evaluator, current.counts[None])[0])
         trajectory = [score]
         for _ in range(self.max_rounds):
-            # Neighbourhood in the scalar loop's (src, dst, node) order.
+            # Neighbourhood in the pinned (src, dst, node) order.
             moves = space.thread_moves(current.counts)
             if not moves:
                 break
@@ -619,14 +523,7 @@ class HillClimbSearch(_SearchBase):
             )
             score = float(scores[k])
             trajectory.append(score)
-        final_score, prediction = self._exact(machine, apps, current)
-        return SearchResult(
-            allocation=current,
-            prediction=prediction,
-            score=final_score,
-            evaluations=self._evaluations,
-            trajectory=tuple(trajectory),
-        )
+        return self._result(machine, apps, current, trajectory)
 
 
 class AnnealingSearch(_SearchBase):
@@ -635,16 +532,18 @@ class AnnealingSearch(_SearchBase):
     Same neighbourhood as :class:`HillClimbSearch` but accepts worsening
     moves with probability ``exp(delta / T)`` under a geometric cooling
     schedule, so it can cross the valleys between symmetric optima.
-    Deterministic for a fixed ``seed``.
+    Deterministic for a fixed ``seed``.  ``initial_temperature`` must be
+    finite and positive: a zero or negative temperature cannot cool,
+    and an infinite one never does.
 
     Annealing's proposals are inherently sequential (each depends on the
-    previous accept/reject draw), so the fast path scores them one at a
-    time through the model's memo cache rather than batching — revisited
-    allocations, which dominate late in the cooling schedule, cost a
-    dict lookup instead of a model evaluation.  Each path is
-    deterministic for a fixed seed, but the two paths may walk different
-    (equally valid) trajectories: when two allocations tie exactly, the
-    1e-14-scale rounding difference between scalar and vectorised
+    previous accept/reject draw), so the loop scores them one at a time.
+    Through the fast evaluator each goes through the model's memo cache,
+    so revisited allocations, which dominate late in the cooling
+    schedule, cost a dict lookup instead of a model evaluation.  Each
+    evaluator gives a deterministic walk for a fixed seed, but the two
+    walks may differ (both valid): when two allocations tie exactly,
+    the 1e-14-scale rounding difference between scalar and vectorised
     arithmetic can flip the ``delta >= 0`` shortcut and desynchronise
     the rng stream.
     """
@@ -660,16 +559,18 @@ class AnnealingSearch(_SearchBase):
         initial_temperature: float = 5.0,
         cooling: float = 0.995,
         seed: int = 0,
-        use_fast: bool | None = None,
-        workers: int | None = None,
-        config: OptimizerConfig | None = None,
+        use_fast: bool = True,
     ) -> None:
-        super().__init__(
-            model, objective, use_fast=use_fast, workers=workers,
-            config=config,
-        )
+        super().__init__(model, objective, use_fast=use_fast)
         if steps <= 0:
             raise ModelError(f"steps must be positive, got {steps}")
+        if not (
+            math.isfinite(initial_temperature) and initial_temperature > 0
+        ):
+            raise ModelError(
+                f"initial_temperature must be finite and positive, "
+                f"got {initial_temperature}"
+            )
         if not 0 < cooling < 1:
             raise ModelError(f"cooling must be in (0,1), got {cooling}")
         self.steps = steps
@@ -695,55 +596,8 @@ class AnnealingSearch(_SearchBase):
     ) -> SearchResult:
         self._evaluations = 0
         rng = np.random.default_rng(self.seed)
-        if start is None:
-            from repro.core.policies import EvenSharePolicy
-
-            start = EvenSharePolicy(distribute_leftover=True).allocate(
-                machine, apps
-            )
-        start.validate(machine)
+        current = _start_allocation(machine, apps, start)
         evaluator = self._evaluator(machine, apps)
-        if evaluator is not None:
-            return self._run_cached(machine, apps, start, evaluator, rng)
-        current = start
-        space = self._space(machine, apps)
-        score, pred = self._score(machine, apps, current)
-        best = (score, current, pred)
-        temperature = self.initial_temperature
-        trajectory = [score]
-        names = current.app_names
-        for _ in range(self.steps):
-            # Propose a random legal single-thread move.
-            move = space.random_move(current.counts, rng)
-            if move is None:
-                break
-            ai, dj, n = move
-            cand = current.move_thread(names[ai], names[dj], n)
-            s, p = self._score(machine, apps, cand)
-            delta = s - score
-            if delta >= 0 or rng.random() < math.exp(delta / temperature):
-                current, score, pred = cand, s, p
-                if score > best[0]:
-                    best = (score, current, pred)
-            temperature = max(temperature * self.cooling, 1e-6)
-            trajectory.append(score)
-        return SearchResult(
-            allocation=best[1],
-            prediction=best[2],
-            score=best[0],
-            evaluations=self._evaluations,
-            trajectory=tuple(trajectory),
-        )
-
-    def _run_cached(
-        self,
-        machine: MachineTopology,
-        apps: Sequence[AppSpec],
-        start: ThreadAllocation,
-        evaluator: FastEvaluator,
-        rng: np.random.Generator,
-    ) -> SearchResult:
-        current = start
         space = self._space(machine, apps)
         score = float(self._score_batch(evaluator, current.counts[None])[0])
         best = (score, current)
@@ -751,9 +605,8 @@ class AnnealingSearch(_SearchBase):
         trajectory = [score]
         names = current.app_names
         for _ in range(self.steps):
-            # Propose a random legal single-thread move (same rng draw
-            # sequence as the scalar path, modulo exact-tie divergence —
-            # see the class docstring).
+            # Propose a random legal single-thread move (the pinned rng
+            # draw sequence of CandidateSpace.random_move).
             move = space.random_move(current.counts, rng)
             if move is None:
                 break
@@ -767,11 +620,4 @@ class AnnealingSearch(_SearchBase):
                     best = (score, current)
             temperature = max(temperature * self.cooling, 1e-6)
             trajectory.append(score)
-        final_score, prediction = self._exact(machine, apps, best[1])
-        return SearchResult(
-            allocation=best[1],
-            prediction=prediction,
-            score=final_score,
-            evaluations=self._evaluations,
-            trajectory=tuple(trajectory),
-        )
+        return self._result(machine, apps, best[1], trajectory)

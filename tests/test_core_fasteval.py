@@ -33,6 +33,7 @@ from repro.core.optimizer import (
     ExhaustiveSearch,
     GreedySearch,
     HillClimbSearch,
+    ScalarEvaluator,
     min_app_gflops,
     total_gflops,
     weighted_gflops,
@@ -486,7 +487,9 @@ class TestSearchFastPath:
         search = ExhaustiveSearch(
             NumaPerformanceModel(), bandwidth_objective
         )
-        assert search._evaluator(paper_machine, paper_apps) is None
+        assert isinstance(
+            search._evaluator(paper_machine, paper_apps), ScalarEvaluator
+        )
         result = search.search(paper_machine, paper_apps)
         reference = ExhaustiveSearch(
             NumaPerformanceModel(), bandwidth_objective, use_fast=False

@@ -1,5 +1,7 @@
 """Unit tests for the allocation searches."""
 
+import math
+
 import pytest
 
 from repro.core.model import NumaPerformanceModel
@@ -110,6 +112,12 @@ class TestAnnealing:
             AnnealingSearch(steps=0)
         with pytest.raises(ModelError):
             AnnealingSearch(cooling=1.5)
+        # A temperature that cannot cool: zero divides by zero at the
+        # first worsening move, a negative one accepts every worsening
+        # move (or overflows exp), NaN never accepts one, inf never cools.
+        for temperature in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ModelError):
+                AnnealingSearch(initial_temperature=temperature)
 
 
 class TestObjectives:

@@ -18,7 +18,6 @@ from repro.core.optimizer import (
     ExhaustiveSearch,
     GreedySearch,
     HillClimbSearch,
-    OptimizerConfig,
 )
 from repro.core import parallel
 from repro.core.parallel import (
@@ -255,15 +254,6 @@ class TestSearchDeterminism:
             res.allocation.counts.tobytes()
             == serial.allocation.counts.tobytes()
         )
-
-    def test_config_plumbs_workers(self, paper_machine, paper_apps):
-        cfg = OptimizerConfig(workers=2, parallel_min_batch=1)
-        search = ExhaustiveSearch(config=cfg)
-        assert search.model.workers == 2
-        assert search.model.parallel_min_batch == 1
-        res = search.search(paper_machine, paper_apps)
-        assert res.evaluations == 165
-        assert 2 in pool_stats()
 
     def test_min_batch_keeps_small_rounds_serial(
         self, paper_machine, paper_apps
