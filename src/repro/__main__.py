@@ -43,23 +43,23 @@ Commands
     ``--no-baseline`` ignores it); ``--fail-on {error,warning}``
     controls the exit-code gate.
 ``chaos <scenario>``
-    Run a fault-injection recovery scenario (:mod:`repro.faults`):
-    ``crash-one``, ``flaky-reports``, ``lossy-links``, ``serve-crash``
-    (churn + crash + dropped commands against the live allocation
-    service), ``serve-restart`` (the journaled service is killed and
-    its write-ahead journal corrupted — duplicated segment, stale
-    snapshot, torn tail — before recovery), or ``serve-overload``
-    (admission overflow, a shed report flood, and a queued-stale
-    command).  Prints a recovery report and exits non-zero when the
-    scenario's recovery criteria are not met; ``--seed`` replays a
+    Run a fault-injection recovery scenario against the agent
+    (:mod:`repro.faults`): ``crash-one``, ``flaky-reports`` or
+    ``lossy-links``.  Prints a recovery report and exits non-zero when
+    the scenario's recovery criteria are not met; ``--seed`` replays a
     different (still deterministic) fault sequence, ``--json`` emits
-    the report as JSON.
+    the report as JSON.  The allocation service's fault drills run
+    under ``serve --scenario``.
 ``serve``
     Run the long-running allocation service (:mod:`repro.serve`).
     ``--scenario <name>`` replays a seeded join/leave churn script on
     the DES clock (``churn-basic``, ``churn-burst``, ``churn-stale``,
-    ``churn-cache``, ``serve-crash-restart``) and exits non-zero when
-    the scenario's criteria — including byte-identity of the final
+    ``churn-cache``, ``serve-crash-restart``), or one of the fault
+    drills ``serve-crash`` (a crash and dropped commands),
+    ``serve-restart`` (the journal corrupted three ways before
+    recovery) and ``serve-overload`` (admission overflow, a shed report
+    flood, a queued-stale command), and exits non-zero when the
+    scenario's criteria — including byte-identity of the final
     allocation with the offline optimizer — are not met.  ``--mode
     delta`` routes churn through the incremental
     :class:`~repro.core.delta.DeltaSearch` instead of the full

@@ -10,7 +10,9 @@ unreliability; an :class:`InjectionProxy` executes both against any
 knowing.  :func:`apply_journal_fault` corrupts
 :mod:`repro.serve.persist` journal directories on disk (torn tail,
 stale snapshot, duplicated segment).  :func:`run_scenario` packages
-full recovery experiments (``python -m repro chaos``).
+full recovery experiments for the agent (``python -m repro chaos``);
+the allocation service's fault drills are replays in
+:mod:`repro.serve.scenarios` (``python -m repro serve --scenario``).
 
 Everything is seeded and replayable: the same plan + seed produces the
 same faults, retries, quarantines, and recovery, run after run.

@@ -31,8 +31,9 @@ Layering (each layer usable on its own):
 * :mod:`repro.serve.server` — per-connection outbox with backpressure,
   and :class:`~repro.serve.server.AsyncServiceClient`, the asyncio
   stream client;
-* :mod:`repro.serve.scenarios` — seeded churn replays on the DES clock
-  (``python -m repro serve --scenario churn-basic``).
+* :mod:`repro.serve.scenarios` — seeded churn replays and fault drills
+  on the DES clock, one :class:`~repro.serve.scenarios.Replay` record
+  each (``python -m repro serve --scenario churn-basic``).
 
 Protocol, lifecycle, and failure semantics are documented in
 ``docs/SERVICE.md``; the guided walk-through is ``docs/TUTORIAL.md``.
@@ -71,6 +72,7 @@ from repro.serve.registry import Session, SessionState, WorkloadRegistry
 from repro.serve.scenarios import (
     ChurnEvent,
     ChurnReport,
+    Replay,
     ReplayDriver,
     ReplayEndpoint,
     SERVE_SCENARIOS,
@@ -109,6 +111,7 @@ __all__ = [
     "ChurnReport",
     "ReplayEndpoint",
     "ReplayDriver",
+    "Replay",
     "SERVE_SCENARIOS",
     "run_replay",
 ]

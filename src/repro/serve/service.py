@@ -44,9 +44,9 @@ Policy highlights (full semantics in ``docs/SERVICE.md``):
   trusting the model with a mostly-unobserved workload.
 * **At-least-once delivery** — each progress report carries the epoch
   the runtime last applied; the service re-pushes the current
-  allocation while that trails, which is what lets the chaos path
-  (``python -m repro chaos serve-crash``) converge under dropped
-  commands.
+  allocation while that trails, which is what lets the fault drill
+  (``python -m repro serve --scenario serve-crash``) converge under
+  dropped commands.
 """
 
 from __future__ import annotations
