@@ -356,54 +356,56 @@ def _run_churn(ops, crash_after=None):
     get deterministic ErrorReplies in both runs, so arbitrary
     interleavings are comparable.
     """
-    directory = tempfile.mkdtemp(prefix="repro-persist-prop-")
-    sim = Simulator()
-    config = ServiceConfig(machine=model_machine(), debounce=0.02)
-    holder = {
-        "service": AllocationService(
-            config,
-            clock=lambda: sim.now,
-            call_later=lambda delay, fn: sim.schedule(delay, fn),
-            journal=Journal.open(directory, fsync=False),
-        )
-    }
+    with tempfile.TemporaryDirectory(
+        prefix="repro-persist-prop-"
+    ) as directory:
+        sim = Simulator()
+        config = ServiceConfig(machine=model_machine(), debounce=0.02)
+        holder = {
+            "service": AllocationService(
+                config,
+                clock=lambda: sim.now,
+                call_later=lambda delay, fn: sim.schedule(delay, fn),
+                journal=Journal.open(directory, fsync=False),
+            )
+        }
 
-    def apply(op):
-        kind, name = op
-        service = holder["service"]
-        if kind == "join":
-            service.handle(Register(name=name, app=APPS[name]))
-        elif kind == "leave":
-            service.handle(Deregister(name=name))
-        else:
-            service.handle(
-                ProgressReport(
-                    name=name, time=sim.now, progress={}, cpu_load=0.5
+        def apply(op):
+            kind, name = op
+            service = holder["service"]
+            if kind == "join":
+                service.handle(Register(name=name, app=APPS[name]))
+            elif kind == "leave":
+                service.handle(Deregister(name=name))
+            else:
+                service.handle(
+                    ProgressReport(
+                        name=name, time=sim.now, progress={}, cpu_load=0.5
+                    )
                 )
+
+        def crash_and_recover():
+            holder["service"].crash()
+            holder["service"] = AllocationService.recover(
+                directory,
+                config,
+                clock=lambda: sim.now,
+                call_later=lambda delay, fn: sim.schedule(delay, fn),
+                fsync=False,
             )
 
-    def crash_and_recover():
-        holder["service"].crash()
-        holder["service"] = AllocationService.recover(
-            directory,
-            config,
-            clock=lambda: sim.now,
-            call_later=lambda delay, fn: sim.schedule(delay, fn),
-            fsync=False,
+        for index, op in enumerate(ops):
+            sim.schedule_at(0.01 * (index + 1), lambda op=op: apply(op))
+            if crash_after is not None and index == crash_after:
+                sim.schedule_at(0.01 * (index + 1) + 0.005, crash_and_recover)
+        sim.run_until(0.01 * len(ops) + 0.5)  # let every debounce settle
+        # The *next* re-optimization must agree too: join a probe app in
+        # quiescence and let its churn settle before the final comparison.
+        holder["service"].handle(
+            Register(name="probe", app=AppSpec.compute_bound("probe", 5.0))
         )
-
-    for index, op in enumerate(ops):
-        sim.schedule_at(0.01 * (index + 1), lambda op=op: apply(op))
-        if crash_after is not None and index == crash_after:
-            sim.schedule_at(0.01 * (index + 1) + 0.005, crash_and_recover)
-    sim.run_until(0.01 * len(ops) + 0.5)  # let every debounce settle
-    # The *next* re-optimization must agree too: join a probe app in
-    # quiescence and let its churn settle before the final comparison.
-    holder["service"].handle(
-        Register(name="probe", app=AppSpec.compute_bound("probe", 5.0))
-    )
-    sim.run_until(0.01 * len(ops) + 1.0)
-    return holder["service"]
+        sim.run_until(0.01 * len(ops) + 1.0)
+        return holder["service"]
 
 
 def _workload_state(service) -> dict:
