@@ -337,12 +337,9 @@ class DeltaSearch(_SearchBase):
         num_apps = len(apps)
         if movable and num_apps * (num_apps - 1) > _RESTRICTED_MIN_MOVES:
             score = self._climb(
-                machine, apps, space, evaluator, comp, score, movable,
-                trajectory,
+                space, evaluator, comp, score, movable, trajectory
             )
-        score = self._climb(
-            machine, apps, space, evaluator, comp, score, None, trajectory
-        )
+        score = self._climb(space, evaluator, comp, score, None, trajectory)
 
         audited = corrected = False
         if (
@@ -462,8 +459,6 @@ class DeltaSearch(_SearchBase):
 
     def _climb(
         self,
-        machine: MachineTopology,
-        apps: tuple[AppSpec, ...],
         space: CandidateSpace,
         evaluator,
         comp: np.ndarray,
@@ -475,11 +470,7 @@ class DeltaSearch(_SearchBase):
 
         When ``score`` is ``None`` (the seed has not been scored yet)
         the seed row rides along in the first round's batch instead of
-        costing a one-candidate evaluation call of its own.  ``machine``
-        and ``apps`` are not read (``evaluator`` is bound to them); they
-        stay in the signature because
-        ``tests/test_core_delta.py::TestFallbacks::test_regression_guard``
-        substitutes a climb with this positional signature.
+        costing a one-candidate evaluation call of its own.
         """
         for _ in range(self.max_rounds):
             moves = space.composition_moves(comp, movable)

@@ -173,10 +173,7 @@ class TestFallbacks:
         warm = search.fallback.search(paper_machine, previous)
         current = previous + (_mem("c", 0.1),)
 
-        def sabotage(
-            self, machine, apps, space, evaluator, comp, score, movable,
-            trajectory,
-        ):
+        def sabotage(self, space, evaluator, comp, score, movable, trajectory):
             comp[:] = 0
             comp[2] = space.cores_per_node
             return score

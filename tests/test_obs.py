@@ -575,7 +575,11 @@ class TestNoOpOverhead:
             return time.perf_counter() - t0
 
         run_n()  # warm caches
-        disabled = run_n()
-        with capture():
-            enabled = run_n()
-        assert disabled <= enabled * 1.5
+        disabled, enabled = [], []
+        # Interleaved rounds compared by their minimums: host noise only
+        # ever adds time, so one slow round cannot decide the check.
+        for _ in range(5):
+            disabled.append(run_n())
+            with capture():
+                enabled.append(run_n())
+        assert min(disabled) <= min(enabled) * 1.5
