@@ -7,6 +7,7 @@ import hashlib
 import json
 import os
 import tempfile
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from repro.serve import (
 )
 from repro.serve.persist import (
     Journal,
+    _canonical,
     atomic_write,
     decode_record,
     encode_record,
@@ -65,14 +67,45 @@ class TestAtomicWrite:
     def test_writes_and_overwrites(self, tmp_path):
         target = str(tmp_path / "state.json")
         atomic_write(target, b"first", fsync=False)
-        assert open(target, "rb").read() == b"first"
+        with open(target, "rb") as handle:
+            assert handle.read() == b"first"
         atomic_write(target, b"second", fsync=False)
-        assert open(target, "rb").read() == b"second"
+        with open(target, "rb") as handle:
+            assert handle.read() == b"second"
 
     def test_leaves_no_temp_file_behind(self, tmp_path):
         target = str(tmp_path / "state.json")
         atomic_write(target, b"data", fsync=False)
         assert os.listdir(tmp_path) == ["state.json"]
+
+
+#: JSON-shaped journal events: nested objects, lists and scalars, with
+#: keys that sort before, between and after ``crc``, ``event``, ``seq``.
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**63), 2**63)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8)
+)
+_keys = st.sampled_from(["a", "crc", "d", "event", "f", "seq", "z"]) | st.text(
+    max_size=6
+)
+_events = st.dictionaries(
+    _keys,
+    st.recursive(
+        _json_scalars,
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(_keys, inner, max_size=3),
+        max_leaves=8,
+    ),
+    max_size=5,
+)
+
+
+def _crc(event, seq):
+    payload = _canonical({"event": event, "seq": seq})
+    return zlib.crc32(payload.encode("utf-8"))
 
 
 class TestRecordCodec:
@@ -88,6 +121,14 @@ class TestRecordCodec:
         tampered = line.replace("0.5", "0.6")
         with pytest.raises(ServiceError):
             decode_record(tampered)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seq=st.integers(1, 2**63), event=_events)
+    def test_line_is_the_canonical_record(self, seq, event):
+        line = encode_record(seq, event)
+        record = {"crc": _crc(event, seq), "event": event, "seq": seq}
+        assert line == _canonical(record)
+        assert decode_record(line) == (seq, event)
 
     @pytest.mark.parametrize(
         "line",
@@ -190,7 +231,8 @@ class TestTornAndCorrupt:
     def test_mid_chain_corruption_stops_replay(self, tmp_path):
         path = self._journal(tmp_path)
         segment = latest_journal_segment(path)
-        lines = open(segment, "rb").read().splitlines()
+        with open(segment, "rb") as handle:
+            lines = handle.read().splitlines()
         lines[1] = b'{"crc": 1, "event": {}, "seq": 2}'  # wrong CRC
         with open(segment, "wb") as handle:  # repro: noqa[IO001]
             handle.write(b"\n".join(lines) + b"\n")
@@ -203,7 +245,8 @@ class TestTornAndCorrupt:
     def test_sequence_gap_stops_replay(self, tmp_path):
         path = self._journal(tmp_path)
         segment = latest_journal_segment(path)
-        lines = open(segment, "rb").read().splitlines()
+        with open(segment, "rb") as handle:
+            lines = handle.read().splitlines()
         del lines[1]  # seq 2 vanishes: 1 -> 3 is a gap
         with open(segment, "wb") as handle:  # repro: noqa[IO001]
             handle.write(b"\n".join(lines) + b"\n")
