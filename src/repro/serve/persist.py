@@ -135,10 +135,16 @@ def atomic_write(path: str, data: bytes, *, fsync: bool = True) -> None:
 # Record / snapshot codecs
 # ----------------------------------------------------------------------
 def encode_record(seq: int, event: dict) -> str:
-    """One journal line (no trailing newline): CRC'd, seq-stamped."""
+    """One journal line (no trailing newline): CRC'd, seq-stamped.
+
+    The line is ``_canonical({"crc", "event", "seq"})``, built from the
+    CRC payload instead of serialising the event twice: ``crc`` sorts
+    before ``event`` and ``seq``, so prefixing it to the payload's
+    fields gives the same bytes.
+    """
     payload = _canonical({"event": event, "seq": seq})
     crc = zlib.crc32(payload.encode("utf-8"))
-    return _canonical({"crc": crc, "event": event, "seq": seq})
+    return '{"crc":%d,' % crc + payload[1:]
 
 
 def decode_record(line: str) -> tuple[int, dict]:
