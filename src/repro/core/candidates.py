@@ -36,7 +36,7 @@ shared read-only (:func:`symmetric_counts_tensor`): every exhaustive
 search and delta audit over one workload size scores the same array
 instead of re-enumerating it.  That 4-tuple is the tensor's key
 (:meth:`CandidateSpace.symmetric_key`); a search names its batch by it,
-so the model can cache the whole space's scores as one entry
+so the model can cache the whole space's winner as one entry
 (:func:`is_symmetric_tensor` checks the name).
 """
 
@@ -137,9 +137,9 @@ def symmetric_counts_tensor(
 
     The batched form of :func:`enumerate_symmetric_allocations`: row
     ``b`` replicates the ``b``-th node composition (same enumeration
-    order) across every node.  Feeding the tensor to
-    :meth:`~repro.core.model.NumaPerformanceModel.predict_scores` scores
-    the entire space in one call — the exhaustive-search fast path.
+    order) across every node.  The exhaustive search hands the tensor
+    to its evaluator's ``best_row``, which rules on the entire space in
+    one step (:meth:`~repro.core.fasteval.FastEvaluator.best_row`).
 
     The tensor is built on first use and memoised per (cores per node,
     apps, nodes, ``require_full``); every later call for that size
@@ -257,10 +257,9 @@ class CandidateSpace:
     def symmetric_key(self, *, require_full: bool = True) -> tuple:
         """The memo key of :meth:`symmetric_tensor`.
 
-        ``(cores per node, apps, nodes, require_full)``: pass it as
-        ``space=`` to
-        :meth:`~repro.core.model.NumaPerformanceModel.predict_scores`
-        along with the tensor.
+        ``(cores per node, apps, nodes, require_full)``: pass it to an
+        evaluator's ``best_row`` along with the tensor
+        (:meth:`~repro.core.fasteval.FastEvaluator.best_row`).
         """
         return (
             self.cores_per_node, self.num_apps, self.num_nodes, require_full

@@ -24,9 +24,9 @@ perturbs only a handful of rows of the previous answer.
    departure the restricted neighbourhood is empty and this pass does
    all the work).
 5. **Audit** — when the symmetric space is small
-   (``audit_limit``, default 512 candidates) score the whole space in
-   one batched call and adopt its first-argmax winner on any
-   disagreement.  The audit makes delta mode *provably identical* to
+   (``audit_limit``, default 512 candidates) find the whole space's
+   first best row, the exhaustive search's one step, and adopt it on
+   any disagreement.  The audit makes delta mode *provably identical* to
    :class:`~repro.core.optimizer.ExhaustiveSearch` on small instances
    — the exactness anchor the ``churn-*`` replays assert — while large
    instances (where the audit would defeat the point) take the pure
@@ -50,8 +50,8 @@ shared model.  ``use_fast=False``, or an objective with no ``batched``
 form, selects :class:`~repro.core.optimizer.ScalarEvaluator`, which
 scores row by row with the reference model and caches nothing.  With
 the fast evaluator the repair and climb batches are cached row by
-row, and the audit and the full fall-back cache their whole space as
-one entry.  The cache only hits when the very same workload returns —
+row, and the audit and the full fall-back cache their space's winner
+as one entry.  The cache only hits when the very same workload returns —
 the same app specs in the same order, since the fingerprint is the
 ordered spec tuple — so the searcher's speed comes from scoring
 O(delta) candidates, not from the cache.  ``python -m repro bench``
@@ -498,23 +498,24 @@ class DeltaSearch(_SearchBase):
     def _audit(
         self, space: CandidateSpace, evaluator, comp: np.ndarray
     ) -> bool:
-        """Score the whole (small) space; adopt its winner on mismatch.
+        """Find the whole (small) space's winner; adopt it on mismatch.
 
         The winner is the *first* argmax in enumeration order — exactly
         the candidate :class:`~repro.core.optimizer.ExhaustiveSearch`
         returns — so after an audit the delta answer is identical to
         the oracle's, ties included.  Like that search, the audit names
-        its batch by the symmetric tensor's key, so its scores are
+        its batch by the symmetric tensor's key, so its winner is
         cached as one whole-space entry; on a miss the rows this
         search's climb just scored still hit.
         """
         tensor = space.symmetric_tensor(require_full=self.require_full)
-        scores = self._score_batch(
-            evaluator,
-            tensor,
-            space=space.symmetric_key(require_full=self.require_full),
-        )
-        winner = tensor[int(np.argmax(scores))]
+        winner = tensor[
+            self._best_row(
+                evaluator,
+                tensor,
+                space.symmetric_key(require_full=self.require_full),
+            )
+        ]
         if np.array_equal(winner, space.expand(comp)):
             return False
         comp[:] = winner[:, 0]

@@ -8,7 +8,7 @@ lists are expanded, and a full :class:`~repro.core.model.Prediction`
 object tree is assembled even when the caller only consumes one scalar
 score.  Search inner loops evaluate thousands of candidate allocations
 against a *fixed* machine and application set, which makes the work
-almost entirely redundant.  This module removes the redundancy in three
+almost entirely redundant.  This module removes the redundancy in four
 layers:
 
 1. **Precomputed tables** — :class:`ModelTables` factors everything that
@@ -32,11 +32,17 @@ layers:
    costs one dict lookup instead of a model evaluation.  Such a batch
    makes one round trip: its row keys are built in one step
    (:func:`row_keys`) and the fingerprint is hashed once per lookup
-   and store, not per row.  A whole symmetric space is cached as one
-   ``(B, A)`` entry under ``(workload fingerprint, space key)``, so a
-   returning workload's whole-space search is one hit and a new
-   workload's, which can never hit, pays for one store instead of
-   ``B``.
+   and store, not per row.  A whole symmetric space is searched, not
+   cached row by row: its entry under ``(workload fingerprint, space
+   key, objective)`` holds the winning row, so a returning workload's
+   whole-space search is one hit and a new workload's, which can never
+   hit, pays for one store instead of ``B``.
+4. **Bounded search** — :meth:`FastEvaluator.best_row` finds the first
+   best row of a whole symmetric space without scoring all of it when
+   the objective carries an upper bound (:func:`roofline_bound` for
+   total GFLOPS): it scores the rows with the highest bounds first,
+   then only the rows whose bound reaches the best score found.  The
+   row it returns is the first ``argmax`` of the unpruned scores.
 
 The scalar :meth:`~repro.core.model.NumaPerformanceModel.predict`
 remains the ground truth; parity (``|batched - reference| <= 1e-9``) is
@@ -56,15 +62,18 @@ import numpy as np
 
 from repro.core.allocation import ThreadAllocation
 from repro.core.bwshare import RemainderRule, _water_fill
+from repro.core.candidates import is_symmetric_tensor
 from repro.core.spec import AppSpec, Placement
 from repro.errors import ModelError, OversubscriptionError
 from repro.machine.topology import MachineTopology
+from repro.obs import OBS
 
 __all__ = [
     "ModelTables",
     "ScoreCache",
     "FastEvaluator",
     "batched_app_gflops",
+    "roofline_bound",
     "as_counts_batch",
     "check_oversubscription",
     "row_keys",
@@ -73,6 +82,22 @@ __all__ = [
 
 #: An objective's batched form: ``(per-app GFLOPS (B, A), apps) -> (B,)``.
 BatchedObjective = Callable[[np.ndarray, Sequence[AppSpec]], np.ndarray]
+
+#: An upper bound on an objective: ``(tables, counts (B, A, N)) -> (B,)``.
+ScoreBound = Callable[["ModelTables", np.ndarray], np.ndarray]
+
+#: Rows the bounded search scores first, those with the highest bounds.
+#: A smaller first pass finds a lower best score, which lets more rows
+#: through to the second pass; a larger one scores rows the bound would
+#: have ruled out.  Over 360 searches of 8 apps from perfbench's
+#: ``churn-full`` schedules, 64 scored the fewest rows in all (a mean
+#: of 191 per search, against 245 for 16 and 306 for 256).
+_FIRST_PASS = 64
+
+#: Relative slack on a bound: a row is ruled out only when its bound is
+#: below the best score by more than this.  A row's computed score can
+#: sit a few ulps above its computed bound, which the slack absorbs.
+_BOUND_SLACK = 1e-9
 
 
 def workload_fingerprint(
@@ -351,6 +376,45 @@ def batched_app_gflops(
     return out
 
 
+def roofline_bound(tables: ModelTables, counts: np.ndarray) -> np.ndarray:
+    """An upper bound on each candidate's total GFLOPS, ``(B, A, N) -> (B,)``.
+
+    The machine-wide roofline.  The model grants no more bandwidth in
+    all than the nodes' memories hold, and no app computes faster than
+    its threads' peak, whatever the bandwidth.  So hand the sum of the
+    node bandwidths to the apps in descending arithmetic intensity,
+    each taking the bandwidth its peak can use (a fractional knapsack):
+    the GFLOPS this buys are at least the model's total for the
+    candidate, up to rounding.  Carried by
+    :func:`~repro.core.optimizer.total_gflops` as its ``bound``.
+
+    Rows are bounded in blocks of :func:`_block_rows`, so no temporary
+    grows with the batch.
+    """
+    batch, n_apps, n_nodes = counts.shape
+    order = np.argsort(-tables.intensity, kind="stable")
+    intensity = tables.intensity[order]
+    # Both quantities are linear in the counts, so one matmul per block
+    # gives them.  peak[a * N + n, k] is one thread's peak if app
+    # a = order[k] on node n; the app's cap is its threads' sum.
+    peak = np.zeros((n_apps, n_nodes, n_apps))
+    peak[order, :, np.arange(n_apps)] = tables.peak_per_thread[order]
+    peak = peak.reshape(n_apps * n_nodes, n_apps)
+    # The bandwidth the apps ahead of app k can turn into GFLOPS.
+    ahead = (peak / intensity) @ np.triu(np.ones((n_apps, n_apps)), 1)
+    weights = np.concatenate([peak, ahead], axis=1)
+    bandwidth = tables.node_capacity.sum()
+    rows = _block_rows(n_apps, n_nodes)
+    out = np.empty(batch)
+    for lo in range(0, batch, rows):
+        block = counts[lo : lo + rows]
+        both = block.reshape(len(block), -1) @ weights
+        left = np.maximum(bandwidth - both[:, n_apps:], 0.0)
+        left *= intensity
+        out[lo : lo + rows] = np.minimum(both[:, :n_apps], left).sum(axis=1)
+    return out
+
+
 def _score_block(
     tables: ModelTables, counts: np.ndarray, rule: RemainderRule
 ) -> np.ndarray:
@@ -450,10 +514,11 @@ class _Space:
     """The last key element of a whole-space entry.
 
     Equal only to another ``_Space`` of the same key, so a space entry
-    never shares a key with a row entry.
+    never shares a key with a row entry.  The entry's value is
+    ``(rows it weighs, winning row)``.
     """
 
-    key: tuple
+    key: Hashable
 
 
 class ScoreCache:
@@ -467,10 +532,11 @@ class ScoreCache:
       Local-search optimizers revisit allocations constantly (a
       hill-climb neighbourhood overlaps its predecessor's almost
       entirely), which is what makes a memo cache worth its memory;
-    * a **space entry**, the ``(B, A)`` result of a whole symmetric
-      space under ``(workload fingerprint, space key)``, where the space
-      key names the memoised tensor
-      (:meth:`~repro.core.candidates.CandidateSpace.symmetric_key`).  A
+    * a **space entry**, the winning row of a whole symmetric space
+      under ``(workload fingerprint, space key)``, where the space key
+      names the memoised tensor
+      (:meth:`~repro.core.candidates.CandidateSpace.symmetric_key`) and
+      the objective searched (:meth:`FastEvaluator.best_row`).  A
       returning workload's whole-space search is then one dict hit, and
       a new workload's costs one store instead of ``B``.
 
@@ -498,9 +564,9 @@ class ScoreCache:
         self.maxsize = maxsize
         self.hits = 0
         self.misses = 0
-        self._data: OrderedDict[tuple[_Prefix, Hashable], np.ndarray] = (
-            OrderedDict()
-        )
+        self._data: OrderedDict[
+            tuple[_Prefix, Hashable], np.ndarray | tuple[int, int]
+        ] = OrderedDict()
         self._prefixes: dict[tuple, _Prefix] = {}
         #: rows held: one per row entry, ``B`` per space entry.
         self._rows = 0
@@ -557,13 +623,13 @@ class ScoreCache:
         return missed, found
 
     def lookup_space(
-        self, prefix: tuple, space: tuple, counts: np.ndarray
-    ) -> tuple[np.ndarray | None, list[int], list[np.ndarray]]:
+        self, prefix: tuple, space: Hashable, counts: np.ndarray
+    ) -> tuple[int | None, list[int], list[np.ndarray]]:
         """Look up a whole-space batch: its one entry, else its rows.
 
         ``counts`` is the tensor ``space`` names.  On a hit of the entry
         :meth:`store_space` made, the entry is refreshed, every row
-        counts as a hit, and the result is ``(values, [], [])``.  On a
+        counts as a hit, and the result is ``(best, [], [])``.  On a
         miss it is ``None`` plus the ``(missed, found)`` of a
         :meth:`lookup` of every row (:func:`row_keys`), so rows another
         search stored still hit.  The row keys are built only when
@@ -574,12 +640,13 @@ class ScoreCache:
             self.misses += len(counts)
             return None, list(range(len(counts))), []
         key = (interned, _Space(space))
-        values = self._data.get(key)
-        if values is None:
+        entry = self._data.get(key)
+        if entry is None:
             return None, *self.lookup(prefix, row_keys(counts))
         self._data.move_to_end(key)
-        self.hits += len(values)
-        return values, [], []
+        rows, best = entry
+        self.hits += rows
+        return best, [], []
 
     def store(
         self, prefix: tuple, rows: Sequence[Hashable], values: np.ndarray
@@ -607,28 +674,25 @@ class ScoreCache:
         self._evict()
 
     def store_space(
-        self, prefix: tuple, space: tuple, values: np.ndarray
+        self, prefix: tuple, space: Hashable, best: int, rows: int
     ) -> None:
-        """Insert a whole space's ``(B, A)`` ``values`` as one entry.
+        """Insert the winning row ``best`` of a ``rows``-row space.
 
-        The entry weighs ``B`` rows and is looked up by
-        :meth:`lookup_space`.  ``values`` is made read-only and cached
-        as is; a space of more than ``maxsize`` rows is not stored and
-        evicts nothing.
+        The entry weighs ``rows`` rows and is looked up by
+        :meth:`lookup_space`; a space of more than ``maxsize`` rows is
+        not stored and evicts nothing.
         """
-        values = np.asarray(values)
-        if len(values) > self.maxsize:
+        if rows > self.maxsize:
             return
-        values.setflags(write=False)
         interned = self._intern(prefix)
         key = (interned, _Space(space))
         replaced = self._data.pop(key, None)
         if replaced is None:
             interned.entries += 1
         else:
-            self._rows -= len(replaced)
-        self._data[key] = values
-        self._rows += len(values)
+            self._rows -= replaced[0]
+        self._data[key] = (rows, best)
+        self._rows += rows
         self._evict()
 
     def _intern(self, prefix: tuple) -> _Prefix:
@@ -642,7 +706,7 @@ class ScoreCache:
         data = self._data
         while self._rows > self.maxsize:
             (owner, row), value = data.popitem(last=False)
-            self._rows -= len(value) if type(row) is _Space else 1
+            self._rows -= value[0] if type(row) is _Space else 1
             owner.entries -= 1
             if not owner.entries:
                 del self._prefixes[owner.key]
@@ -681,10 +745,16 @@ class FastEvaluator:
     callable the optimizers drive.  It is one of the two evaluators a
     search loop runs through; the other,
     :class:`~repro.core.optimizer.ScalarEvaluator`, has the same
-    :meth:`scores` signature and scores row by row with the reference
-    model.  Construction fails soft: use :meth:`create`, which returns
-    ``None`` when the objective has no batched form, and the search
-    then uses the scalar evaluator.
+    :meth:`scores` and :meth:`best_row` signatures and scores row by row
+    with the reference model.  Construction fails soft: use
+    :meth:`create`, which returns ``None`` when the objective has no
+    batched form, and the search then uses the scalar evaluator.
+
+    :meth:`best_row`, the whole-space step, goes through the model's
+    tables, score cache and kernel directly.  When the objective
+    carries a ``bound`` and the space is bigger than one kernel row
+    block, it skips the rows the bound rules out; it returns the same
+    row as scoring every row would.
     """
 
     def __init__(
@@ -693,11 +763,13 @@ class FastEvaluator:
         machine: MachineTopology,
         apps: Sequence[AppSpec],
         batched_objective: BatchedObjective,
+        bound: ScoreBound | None = None,
     ) -> None:
         self.model = model
         self.machine = machine
         self.apps = tuple(apps)
         self.batched_objective = batched_objective
+        self.bound = bound
 
     @classmethod
     def create(
@@ -710,27 +782,134 @@ class FastEvaluator:
         """An evaluator for ``objective``, or ``None`` if not batchable.
 
         An objective opts into the fast path by carrying a ``batched``
-        attribute (see :mod:`repro.core.optimizer`); arbitrary callables
-        over full :class:`~repro.core.model.Prediction` objects cannot
-        be vectorised and are scored by the scalar evaluator.
+        attribute, and into the bounded whole-space search by also
+        carrying a ``bound`` (see :mod:`repro.core.optimizer`);
+        arbitrary callables over full
+        :class:`~repro.core.model.Prediction` objects cannot be
+        vectorised and are scored by the scalar evaluator.
         """
         batched = getattr(objective, "batched", None)
         if batched is None:
             return None
-        return cls(model, machine, apps, batched)
-
-    def scores(
-        self, counts: np.ndarray, *, space: tuple | None = None
-    ) -> np.ndarray:
-        """Objective score of each candidate in a ``(B, A, N)`` tensor.
-
-        ``space`` names ``counts`` as a memoised symmetric tensor, so the
-        model caches its scores as one entry (see
-        :meth:`~repro.core.model.NumaPerformanceModel.predict_scores`).
-        """
-        gflops = self.model.predict_scores(
-            self.machine, self.apps, counts, space=space
+        return cls(
+            model, machine, apps, batched, getattr(objective, "bound", None)
         )
+
+    def scores(self, counts: np.ndarray) -> np.ndarray:
+        """Objective score of each candidate in a ``(B, A, N)`` tensor."""
+        return self._objective(
+            self.model.predict_scores(self.machine, self.apps, counts)
+        )
+
+    def best_row(
+        self, counts: np.ndarray, space: tuple
+    ) -> tuple[int, int, int]:
+        """The first best row of a whole symmetric space.
+
+        ``counts`` is the memoised tensor that ``space`` names
+        (:meth:`~repro.core.candidates.CandidateSpace.symmetric_key`);
+        any other array is refused before the cache is touched.
+        Returns ``(row, scored, pruned)``: the index of the first
+        maximum of the objective in enumeration order, the rows the
+        kernel scored, and the rows the bound ruled out.
+
+        The model's cache keeps the answer as one entry under the
+        workload, ``space`` and the objective, weighing the space's
+        rows, so a returning workload costs one lookup and no kernel
+        call.  On a miss every row is looked up, so rows other searches
+        cached count as hits, and a space scored whole reuses them.
+
+        Raises
+        ------
+        ModelError
+            If ``counts`` is not the tensor ``space`` names, or the
+            workload is inconsistent.
+        """
+        if not is_symmetric_tensor(counts, space):
+            raise ModelError(
+                f"space {space!r} names the memoised symmetric tensor of "
+                f"that key; the batch given is not that array"
+            )
+        model = self.model
+        model._check_workload(self.machine, self.apps)
+        tables = model._tables_for(self.machine, self.apps)
+        cache = model.cache
+        prefix, key = (tables.key,), (space, self.batched_objective)
+        if cache is None:
+            best, missed, found = None, list(range(len(counts))), []
+        else:
+            best, missed, found = cache.lookup_space(prefix, key, counts)
+        if OBS.enabled:
+            model._observe(
+                len(counts), len(counts) if best is not None else len(found)
+            )
+        if best is not None:
+            return best, 0, 0
+        if self.bound is None or len(counts) <= _block_rows(
+            *counts.shape[1:]
+        ):
+            best, scored = self._best_of_whole(tables, counts, missed, found)
+            pruned = 0
+        else:
+            best, scored = self._best_of_bounded(tables, counts)
+            pruned = len(counts) - scored
+        if cache is not None:
+            cache.store_space(prefix, key, best, len(counts))
+        return best, scored, pruned
+
+    def _objective(self, gflops: np.ndarray) -> np.ndarray:
         return np.asarray(
             self.batched_objective(gflops, self.apps), dtype=float
         )
+
+    def _best_of_whole(
+        self,
+        tables: ModelTables,
+        counts: np.ndarray,
+        missed: list[int],
+        found: list[np.ndarray],
+    ) -> tuple[int, int]:
+        """First argmax over every row; ``found`` rows are not rescored."""
+        model = self.model
+        if len(missed) == len(counts):
+            gflops = model._batch_gflops(tables, counts)
+        elif not missed:
+            gflops = np.array(found)
+        else:
+            gflops, _ = model._fill(tables, counts, missed, found)
+        return int(np.argmax(self._objective(gflops))), len(missed)
+
+    def _best_of_bounded(
+        self, tables: ModelTables, counts: np.ndarray
+    ) -> tuple[int, int]:
+        """First argmax over the rows the bound cannot rule out.
+
+        Bounds every row, scores the :data:`_FIRST_PASS` rows with the
+        highest bounds, then the other rows whose bound reaches the
+        best score found less :data:`_BOUND_SLACK`.  Every row left out
+        scores below a scored one, so the first maximum of the scored
+        rows in enumeration order is the first maximum of all of them.
+        Rows are gathered and scored a row block at a time, so no
+        temporary grows with the space.
+        """
+        block = _block_rows(*counts.shape[1:])
+        bound = self.bound(tables, counts)
+        first = min(_FIRST_PASS, len(counts))
+        rows = [np.argpartition(bound, -first)[-first:]]
+        scores = [self._score_rows(tables, counts, rows[0])]
+        best = scores[0].max()
+        rest = bound >= best - _BOUND_SLACK * abs(best)
+        rest[rows[0]] = False
+        rest = np.flatnonzero(rest)
+        for lo in range(0, len(rest), block):
+            rows.append(rest[lo : lo + block])
+            scores.append(self._score_rows(tables, counts, rows[-1]))
+        rows, scores = np.concatenate(rows), np.concatenate(scores)
+        order = np.argsort(rows)
+        return int(rows[order][np.argmax(scores[order])]), len(rows)
+
+    def _score_rows(
+        self, tables: ModelTables, counts: np.ndarray, rows: np.ndarray
+    ) -> np.ndarray:
+        """Objective scores of ``counts[rows]`` through the model's kernel."""
+        return self._objective(self.model._batch_gflops(tables, counts[rows]))

@@ -32,7 +32,6 @@ import numpy as np
 
 from repro.core.allocation import ThreadAllocation
 from repro.core.bwshare import RemainderRule, share_node_bandwidth
-from repro.core.candidates import is_symmetric_tensor
 from repro.core.fasteval import (
     ModelTables,
     ScoreCache,
@@ -191,9 +190,10 @@ class NumaPerformanceModel:
     cache_size:
         Capacity of the score memo cache backing
         :meth:`predict_scores`, in rows (LRU-evicted): a cached row
-        counts one, a cached whole space its ``B`` rows.  Local-search
-        optimizers revisit allocations constantly, so the cache is on by
-        default; pass ``0`` to disable memoisation entirely.
+        counts one, a whole space's cached winner its ``B`` rows.
+        Local-search optimizers revisit allocations constantly, so the
+        cache is on by default; pass ``0`` to disable memoisation
+        entirely.
     workers:
         Process count for big score batches (:mod:`repro.core.
         parallel`).  ``None`` reads the ``REPRO_WORKERS`` environment
@@ -310,8 +310,6 @@ class NumaPerformanceModel:
         machine: MachineTopology,
         apps: Sequence[AppSpec],
         allocations,
-        *,
-        space: tuple | None = None,
     ) -> np.ndarray:
         """Per-app GFLOPS for a batch of allocations (the fast path).
 
@@ -322,15 +320,10 @@ class NumaPerformanceModel:
         only the misses are evaluated, in one batched call.  The cache
         round trip is one lookup and one store per batch
         (:meth:`~repro.core.fasteval.ScoreCache.lookup`), not one per
-        row.
-
-        A whole-space search names its batch with ``space``, and its
-        result is cached as one entry
-        (:meth:`~repro.core.fasteval.ScoreCache.store_space`) instead of
-        one per row: a returning workload's search is then one hit and
-        no kernel call, and a new workload's pays for one store.  On a
-        miss the rows are still looked up one by one, so rows an earlier
-        partial batch stored still hit.
+        row.  A whole-space search does not come through here: it needs
+        only the first best row, which
+        :meth:`~repro.core.fasteval.FastEvaluator.best_row` finds
+        through the same tables, cache and kernel.
 
         Parameters
         ----------
@@ -340,11 +333,6 @@ class NumaPerformanceModel:
             One :class:`~repro.core.allocation.ThreadAllocation`, a
             sequence of them, an ``(apps, nodes)`` counts matrix, or a
             ``(B, apps, nodes)`` counts tensor.
-        space:
-            The key of the memoised symmetric tensor ``allocations`` is
-            (:meth:`~repro.core.candidates.CandidateSpace.symmetric_key`),
-            or ``None`` (default) for any other batch, whose rows are
-            cached one by one.
 
         Returns
         -------
@@ -358,34 +346,29 @@ class NumaPerformanceModel:
         ------
         ModelError
             If the workload is inconsistent (duplicate apps, bad home
-            node, malformed counts), or ``allocations`` is not the
-            memoised tensor ``space`` names (checked before the cache is
-            touched).
+            node, malformed counts).
         OversubscriptionError
             If any candidate over-subscribes a node.
         """
-        if space is not None and not is_symmetric_tensor(allocations, space):
-            raise ModelError(
-                f"space {space!r} names the memoised symmetric tensor of "
-                f"that key; the batch given is not that array"
-            )
         self._check_workload(machine, apps)
         counts = as_counts_batch(allocations, len(apps), machine.num_nodes)
         tables = self._tables_for(machine, apps)
         cache = self.cache
         if cache is None:
             gflops, hits = self._batch_gflops(tables, counts), 0
-        elif space is None:
-            gflops, hits = self._cached_rows(cache, tables, counts)
         else:
-            gflops, hits = self._cached_space(cache, tables, counts, space)
+            gflops, hits = self._cached_rows(cache, tables, counts)
         if OBS.enabled:
-            self._obs_batched.add(len(counts))
-            if hits:
-                self._obs_cache_hits.add(hits)
-            if hits < len(counts):
-                self._obs_cache_misses.add(len(counts) - hits)
+            self._observe(len(counts), hits)
         return gflops
+
+    def _observe(self, rows: int, hits: int) -> None:
+        """Count a batch of ``rows`` candidates, ``hits`` of them cached."""
+        self._obs_batched.add(rows)
+        if hits:
+            self._obs_cache_hits.add(hits)
+        if hits < rows:
+            self._obs_cache_misses.add(rows - hits)
 
     def _cached_rows(
         self, cache: ScoreCache, tables: ModelTables, counts: np.ndarray
@@ -403,27 +386,6 @@ class NumaPerformanceModel:
         out, fresh = self._fill(tables, counts, missed, found)
         cache.store(prefix, [keys[i] for i in missed], fresh)
         return out, len(found)
-
-    def _cached_space(
-        self,
-        cache: ScoreCache,
-        tables: ModelTables,
-        counts: np.ndarray,
-        space: tuple,
-    ) -> tuple[np.ndarray, int]:
-        """Scores of a whole space cached as one entry, and its hit count."""
-        prefix = (tables.key,)
-        whole, missed, found = cache.lookup_space(prefix, space, counts)
-        if whole is not None:
-            return whole.copy(), len(whole)
-        if len(missed) == len(counts):
-            out = self._batch_gflops(tables, counts)
-        elif not missed:
-            out = np.array(found)
-        else:
-            out, _ = self._fill(tables, counts, missed, found)
-        cache.store_space(prefix, space, out)
-        return out.copy(), len(found)
 
     def _fill(
         self,

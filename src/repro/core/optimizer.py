@@ -29,22 +29,24 @@ ties the same way in every search.
 Evaluators
 ----------
 Each search is one loop written against an evaluator: an object whose
-``scores(counts, *, space=None)`` turns a ``(B, apps, nodes)`` tensor of
-candidates into ``B`` objective scores.  There are two:
+``scores(counts)`` turns a ``(B, apps, nodes)`` tensor of candidates
+into ``B`` objective scores, and whose ``best_row(counts, space)``
+finds the first best row of a whole symmetric space.  There are two:
 
 * :class:`~repro.core.fasteval.FastEvaluator` (the default) runs the
-  batched engine of :mod:`repro.core.fasteval`.  Exhaustive search
-  scores its whole symmetric space in one
+  batched engine of :mod:`repro.core.fasteval`.  Greedy and hill
+  climbing score each round's candidate set in one
   :meth:`~repro.core.model.NumaPerformanceModel.predict_scores` call,
-  greedy and hill climbing score each round's candidate set in one
-  call, and annealing sends its single proposals through the memo
-  cache.  It needs an objective with a ``batched`` form, which the
-  built-in objectives all carry.
+  and annealing sends its single proposals through the memo cache.
+  Exhaustive search asks for the space's best row, which for an
+  objective with a ``bound`` (:func:`total_gflops`) scores only the
+  rows the bound cannot rule out.  It needs an objective with a
+  ``batched`` form, which the built-in objectives all carry.
 * :class:`ScalarEvaluator` scores each candidate with the reference
   :meth:`~repro.core.model.NumaPerformanceModel.predict` and then the
-  objective.  Searches use it for custom objectives over full
-  :class:`~repro.core.model.Prediction` objects and when
-  ``use_fast=False``.
+  objective, every row of a whole space included.  Searches use it for
+  custom objectives over full :class:`~repro.core.model.Prediction`
+  objects and when ``use_fast=False``.
 
 The loop picks winners with ``argmax`` (the first maximum) in the pinned
 enumeration order of :class:`~repro.core.candidates.CandidateSpace`,
@@ -64,7 +66,7 @@ import numpy as np
 
 from repro.core.allocation import ThreadAllocation
 from repro.core.candidates import CandidateSpace
-from repro.core.fasteval import FastEvaluator
+from repro.core.fasteval import FastEvaluator, roofline_bound
 from repro.core.model import NumaPerformanceModel, Prediction
 from repro.core.spec import AppSpec
 from repro.errors import AllocationError, ModelError
@@ -86,13 +88,16 @@ __all__ = [
 
 #: An objective maps a model prediction to a scalar score (higher = better).
 #: Carrying a ``batched`` attribute — ``(app_gflops (B, A), apps) -> (B,)``
-#: — additionally opts the objective into the searches' fast path.
+#: — additionally opts the objective into the searches' fast path, and a
+#: ``bound`` — ``(tables, counts (B, A, N)) -> (B,)``, never below the
+#: score — lets the fast exhaustive search skip rows that cannot win.
 Objective = Callable[[Prediction], float]
 
 # Metric handles hoisted out of the search inner loops (PERF001): resolved
 # against the live registry on first use, re-resolved only when obs is
 # re-enabled with a fresh registry.
 _EVALUATIONS = CounterHandle("optimizer/evaluations")
+_BOUND_PRUNED = CounterHandle("optimizer/bound_pruned")
 _BEST_SCORE = GaugeHandle("optimizer/best_score")
 
 
@@ -108,6 +113,7 @@ def _total_gflops_batched(
 
 
 total_gflops.batched = _total_gflops_batched
+total_gflops.bound = roofline_bound
 
 
 def weighted_gflops(weights: dict[str, float]) -> Objective:
@@ -174,8 +180,9 @@ class ScalarEvaluator:
     :meth:`~repro.core.model.NumaPerformanceModel.predict` turns it into
     a full :class:`~repro.core.model.Prediction`, and the objective
     scores that.  It has :class:`~repro.core.fasteval.FastEvaluator`'s
-    :meth:`scores` signature, so each search is one loop whichever
-    evaluator it drives.
+    :meth:`scores` and :meth:`best_row` signatures, so each search is
+    one loop whichever evaluator it drives.  It prunes nothing: its
+    :meth:`best_row` is the unpruned reference for the fast one.
     """
 
     def __init__(
@@ -191,14 +198,8 @@ class ScalarEvaluator:
         self.objective = objective
         self._names = tuple(a.name for a in apps)
 
-    def scores(
-        self, counts: np.ndarray, *, space: tuple | None = None
-    ) -> np.ndarray:
-        """Objective score of each candidate in a ``(B, A, N)`` tensor.
-
-        ``space`` is accepted for the shared signature and not read:
-        this evaluator caches nothing.
-        """
+    def scores(self, counts: np.ndarray) -> np.ndarray:
+        """Objective score of each candidate in a ``(B, A, N)`` tensor."""
         return np.array(
             [
                 self.objective(
@@ -213,6 +214,16 @@ class ScalarEvaluator:
             dtype=float,
         )
 
+    def best_row(
+        self, counts: np.ndarray, space: tuple
+    ) -> tuple[int, int, int]:
+        """``(first argmax of every row's score, rows scored, 0)``.
+
+        ``space`` is accepted for the shared signature and not read:
+        this evaluator caches nothing and scores every row.
+        """
+        return int(np.argmax(self.scores(counts))), len(counts), 0
+
 
 class _SearchBase:
     """Shared plumbing: the evaluator, counted scoring and the result.
@@ -220,7 +231,9 @@ class _SearchBase:
     Every search is instrumented through :mod:`repro.obs` when enabled:
     one span per :meth:`search` call (``optimizer/<search>``), the
     ``optimizer/evaluations`` counter per candidate scored (batched
-    evaluations count each candidate in the batch), and the
+    evaluations count each candidate in the batch, a whole-space step
+    every candidate of the space), the ``optimizer/bound_pruned``
+    counter per candidate a score bound ruled out, and the
     ``optimizer/best_score`` gauge set to the returned score.
     """
 
@@ -238,6 +251,8 @@ class _SearchBase:
         self.objective = objective
         self.use_fast = use_fast
         self._evaluations = 0
+        #: rows the last whole-space step had the model score.
+        self._scored = 0
 
     def _evaluator(
         self, machine: MachineTopology, apps: Sequence[AppSpec]
@@ -261,19 +276,32 @@ class _SearchBase:
         self,
         evaluator: FastEvaluator | ScalarEvaluator,
         counts: np.ndarray,
-        *,
-        space: tuple | None = None,
     ) -> np.ndarray:
-        """Objective score of each ``(B, A, N)`` candidate, counted.
-
-        ``space`` names a whole symmetric tensor by its key
-        (:meth:`~repro.core.candidates.CandidateSpace.symmetric_key`).
-        """
-        scores = evaluator.scores(counts, space=space)
+        """Objective score of each ``(B, A, N)`` candidate, counted."""
+        scores = evaluator.scores(counts)
         self._evaluations += len(scores)
         if OBS.enabled:
             _EVALUATIONS.add(len(scores))
         return scores
+
+    def _best_row(
+        self,
+        evaluator: FastEvaluator | ScalarEvaluator,
+        counts: np.ndarray,
+        space: tuple,
+    ) -> int:
+        """First best row of the symmetric tensor ``space`` names, counted.
+
+        Every row counts as an evaluation, whether the model scored it
+        or a bound ruled it out (or the score cache had the answer).
+        """
+        best, self._scored, pruned = evaluator.best_row(counts, space)
+        self._evaluations += len(counts)
+        if OBS.enabled:
+            _EVALUATIONS.add(len(counts))
+            if pruned:
+                _BOUND_PRUNED.add(pruned)
+        return best
 
     def _exact(
         self,
@@ -341,15 +369,19 @@ def _start_allocation(
 
 
 class ExhaustiveSearch(_SearchBase):
-    """Evaluate every node-symmetric allocation; exact in that subspace.
+    """Rule on every node-symmetric allocation; exact in that subspace.
 
-    The whole space is scored in one evaluator call on the memoised
-    symmetric tensor, named by the tensor's key.  With the fast
-    evaluator that is one
-    :meth:`~repro.core.model.NumaPerformanceModel.predict_scores` call,
-    and the model's score cache keeps the whole space's scores as one
+    The search is one evaluator step over the memoised symmetric
+    tensor, named by the tensor's key: its first best row.  The scalar
+    evaluator scores every row.  The fast evaluator scores the rows of
+    a space bigger than one kernel row block only where the objective's
+    bound (:func:`~repro.core.fasteval.roofline_bound` for
+    :func:`total_gflops`) cannot rule them out, and returns the same
+    row, ties included.  The model's score cache keeps that row as one
     entry: the same workload searched again costs one cache hit and no
-    kernel call.
+    kernel call.  ``evaluations`` counts every candidate, and the
+    ``optimizer/exhaustive`` span's ``scored`` attribute the rows the
+    model scored.
 
     Parameters
     ----------
@@ -380,7 +412,10 @@ class ExhaustiveSearch(_SearchBase):
     ) -> SearchResult:
         """Return the best symmetric allocation."""
         with self._span(machine, apps) as span:
-            return self._finish(span, self._run(machine, apps))
+            result = self._finish(span, self._run(machine, apps))
+            if OBS.enabled:
+                span.attrs["scored"] = self._scored
+            return result
 
     def _run(
         self, machine: MachineTopology, apps: Sequence[AppSpec]
@@ -390,14 +425,13 @@ class ExhaustiveSearch(_SearchBase):
         counts = space.symmetric_tensor(require_full=self.require_full)
         if len(counts) == 0:
             raise AllocationError("empty search space")
-        scores = self._score_batch(
+        # The first maximum: ties go to the earliest candidate in the
+        # pinned enumeration order.
+        best = self._best_row(
             self._evaluator(machine, apps),
             counts,
-            space=space.symmetric_key(require_full=self.require_full),
+            space.symmetric_key(require_full=self.require_full),
         )
-        # argmax returns the first maximum: ties go to the earliest
-        # candidate in the pinned enumeration order.
-        best = int(np.argmax(scores))
         allocation = ThreadAllocation(
             app_names=tuple(a.name for a in apps),
             counts=counts[best].copy(),

@@ -806,8 +806,21 @@ _mixed_batches = st.lists(
 )
 
 
+def _first_best(model, apps, tensor, key):
+    """The fast evaluator's whole-space step under ``total_gflops``."""
+    return FastEvaluator.create(model, _SMALL, apps, total_gflops).best_row(
+        tensor, key
+    )
+
+
+def _unpruned_best(apps, tensor):
+    """First argmax of the objective over the uncached kernel."""
+    gflops = _UNCACHED.predict_scores(_SMALL, apps, tensor)
+    return int(np.argmax(total_gflops.batched(gflops, apps)))
+
+
 class TestWholeSpaceEntry:
-    """A whole-space batch is cached as one entry weighing its rows."""
+    """A whole-space search is cached as one entry weighing its rows."""
 
     @settings(max_examples=150, deadline=None)
     @given(maxsize=st.integers(1, 40), batches=_mixed_batches)
@@ -831,25 +844,26 @@ class TestWholeSpaceEntry:
                 tensor, key = _small_space(require_full)
                 before = (cache.hits, calls.call_count, cache.keys())
                 if rows is None:
-                    got = model.predict_scores(_SMALL, apps, tensor, space=key)
+                    best, scored, _ = _first_best(model, apps, tensor, key)
                     hit = reference.space_batch(
                         workload, key, [r.tobytes() for r in tensor]
                     )
                     if hit:
                         assert cache.hits == before[0] + len(tensor)
                         assert calls.call_count == before[1]
+                        assert scored == 0
                     if len(tensor) > maxsize:
                         assert set(cache.keys()) == set(before[2])
-                    counts = tensor
+                    assert best == _unpruned_best(apps, tensor)
                 else:
                     counts = symmetric_counts_tensor(_SMALL, 3)[rows]
                     got = model.predict_scores(_SMALL, apps, counts)
                     reference.rows_batch(
                         workload, [r.tobytes() for r in counts]
                     )
-                want = uncached.predict_scores(_SMALL, apps, counts)
-                assert np.array_equal(got, want)
-                assert got.flags.writeable
+                    want = uncached.predict_scores(_SMALL, apps, counts)
+                    assert np.array_equal(got, want)
+                    assert got.flags.writeable
                 assert (cache.hits, cache.misses) == (
                     reference.hits,
                     reference.misses,
@@ -871,14 +885,27 @@ class TestWholeSpaceEntry:
             "batched_app_gflops",
             wraps=model_module.batched_app_gflops,
         ) as calls:
-            first = model.predict_scores(_SMALL, apps, tensor, space=key)
-            second = model.predict_scores(_SMALL, apps, tensor, space=key)
+            first = _first_best(model, apps, tensor, key)
+            second = _first_best(model, apps, tensor, key)
         assert calls.call_count == 1
         assert (model.cache.hits, model.cache.misses) == (15, 15)
-        assert np.array_equal(first, second)
-        assert first is not second and second.flags.writeable
+        best = _unpruned_best(apps, tensor)
+        # The miss scores the 15 rows; the hit scores none.
+        assert (first, second) == ((best, 15, 0), (best, 0, 0))
         # One space entry: no row entries, 15 rows of budget.
         assert model.cache.keys() == [] and len(model.cache) == 15
+
+    def test_the_objective_is_part_of_the_key(self):
+        model = NumaPerformanceModel()
+        apps = _SMALL_WORKLOADS[1]
+        tensor, key = _small_space(False)
+        _first_best(model, apps, tensor, key)
+        fairest = FastEvaluator.create(
+            model, _SMALL, apps, min_app_gflops
+        ).best_row(tensor, key)
+        gflops = _UNCACHED.predict_scores(_SMALL, apps, tensor)
+        assert fairest == (int(np.argmax(gflops.min(axis=1))), 35, 0)
+        assert len(model.cache) == 70 and model.cache.hits == 0
 
     @pytest.mark.parametrize(
         "batch",
@@ -902,7 +929,7 @@ class TestWholeSpaceEntry:
             model.cache.keys(),
         )
         with pytest.raises(ModelError, match="space"):
-            model.predict_scores(_SMALL, apps, batch(tensor), space=key)
+            _first_best(model, apps, batch(tensor), key)
         assert state == (
             model.cache.hits,
             model.cache.misses,
