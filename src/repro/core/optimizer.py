@@ -91,6 +91,9 @@ __all__ = [
 #: — additionally opts the objective into the searches' fast path, and a
 #: ``bound`` — ``(tables, counts (B, A, N)) -> (B,)``, never below the
 #: score — lets the fast exhaustive search skip rows that cannot win.
+#: Both must be pure: the score cache keeps a whole space's winner under
+#: the ``batched`` function itself, so its results may depend on nothing
+#: but its arguments.
 Objective = Callable[[Prediction], float]
 
 # Metric handles hoisted out of the search inner loops (PERF001): resolved
@@ -121,8 +124,11 @@ def weighted_gflops(weights: dict[str, float]) -> Objective:
 
     Lets an arbiter encode priorities (e.g. the interactive component
     counts double).  Apps not named in ``weights`` count with weight 1;
-    extra names are ignored.
+    extra names are ignored.  ``weights`` is copied, so changing the
+    dict later does not change the objective: to re-weight, make a new
+    one.
     """
+    weights = dict(weights)
 
     def objective(prediction: Prediction) -> float:
         return sum(
@@ -373,11 +379,11 @@ class ExhaustiveSearch(_SearchBase):
 
     The search is one evaluator step over the memoised symmetric
     tensor, named by the tensor's key: its first best row.  The scalar
-    evaluator scores every row.  The fast evaluator scores the rows of
-    a space bigger than one kernel row block only where the objective's
-    bound (:func:`~repro.core.fasteval.roofline_bound` for
-    :func:`total_gflops`) cannot rule them out, and returns the same
-    row, ties included.  The model's score cache keeps that row as one
+    evaluator scores every row.  The fast evaluator scores only the
+    rows the objective's bound
+    (:func:`~repro.core.fasteval.roofline_bound` for
+    :func:`total_gflops`) cannot rule out, and returns the same row,
+    ties included.  The model's score cache keeps that row as one
     entry: the same workload searched again costs one cache hit and no
     kernel call.  ``evaluations`` counts every candidate, and the
     ``optimizer/exhaustive`` span's ``scored`` attribute the rows the

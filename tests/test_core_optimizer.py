@@ -147,6 +147,36 @@ class TestObjectives:
             total_gflops(pred)
         )
 
+    def test_changing_the_weights_later_changes_no_answer(
+        self, paper_machine, paper_apps
+    ):
+        # The score cache keeps a whole space's winner under the
+        # objective, so the objective must not read the caller's dict.
+        weights = {"mem0": 100.0, "mem1": 100.0, "mem2": 100.0, "comp": 0.01}
+        objective = weighted_gflops(weights)
+        model = NumaPerformanceModel()
+        first = ExhaustiveSearch(model, objective).search(
+            paper_machine, paper_apps
+        )
+        weights["comp"] = 1000.0
+        again = ExhaustiveSearch(model, objective).search(
+            paper_machine, paper_apps
+        )
+        uncached = ExhaustiveSearch(
+            NumaPerformanceModel(cache_size=0), objective
+        ).search(paper_machine, paper_apps)
+        assert first.allocation.threads_of("comp").sum() == 0
+        for result in (again, uncached):
+            assert result.allocation.as_mapping() == (
+                first.allocation.as_mapping()
+            )
+            assert result.score == first.score
+        # The new weights, in a new objective, do change the answer.
+        reweighted = ExhaustiveSearch(
+            model, weighted_gflops(weights)
+        ).search(paper_machine, paper_apps)
+        assert reweighted.allocation.threads_of("comp").sum() > 0
+
     def test_min_app_gflops_single_app(self, paper_machine):
         apps = [AppSpec.compute_bound("solo")]
         alloc = EvenSharePolicy().allocate(paper_machine, apps)
