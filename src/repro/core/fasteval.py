@@ -66,7 +66,6 @@ from repro.core.candidates import is_symmetric_tensor
 from repro.core.spec import AppSpec, Placement
 from repro.errors import ModelError, OversubscriptionError
 from repro.machine.topology import MachineTopology
-from repro.obs import OBS
 
 __all__ = [
     "ModelTables",
@@ -752,9 +751,8 @@ class FastEvaluator:
 
     :meth:`best_row`, the whole-space step, goes through the model's
     tables, score cache and kernel directly.  When the objective
-    carries a ``bound`` and the space is bigger than one kernel row
-    block, it skips the rows the bound rules out; it returns the same
-    row as scoring every row would.
+    carries a ``bound``, it skips the rows the bound rules out; it
+    returns the same row as scoring every row would.
     """
 
     def __init__(
@@ -830,32 +828,17 @@ class FastEvaluator:
                 f"space {space!r} names the memoised symmetric tensor of "
                 f"that key; the batch given is not that array"
             )
-        model = self.model
-        model._check_workload(self.machine, self.apps)
-        tables = model._tables_for(self.machine, self.apps)
-        cache = model.cache
-        prefix, key = (tables.key,), (space, self.batched_objective)
-        if cache is None:
-            best, missed, found = None, list(range(len(counts))), []
+        if self.bound is None:
+            pick = self._best_of_whole
         else:
-            best, missed, found = cache.lookup_space(prefix, key, counts)
-        if OBS.enabled:
-            model._observe(
-                len(counts), len(counts) if best is not None else len(found)
-            )
-        if best is not None:
-            return best, 0, 0
-        if self.bound is None or len(counts) <= _block_rows(
-            *counts.shape[1:]
-        ):
-            best, scored = self._best_of_whole(tables, counts, missed, found)
-            pruned = 0
-        else:
-            best, scored = self._best_of_bounded(tables, counts)
-            pruned = len(counts) - scored
-        if cache is not None:
-            cache.store_space(prefix, key, best, len(counts))
-        return best, scored, pruned
+            pick = self._best_of_bounded
+        return self.model._cached_space(
+            self.machine,
+            self.apps,
+            counts,
+            (space, self.batched_objective),
+            pick,
+        )
 
     def _objective(self, gflops: np.ndarray) -> np.ndarray:
         return np.asarray(
@@ -868,7 +851,7 @@ class FastEvaluator:
         counts: np.ndarray,
         missed: list[int],
         found: list[np.ndarray],
-    ) -> tuple[int, int]:
+    ) -> tuple[int, int, int]:
         """First argmax over every row; ``found`` rows are not rescored."""
         model = self.model
         if len(missed) == len(counts):
@@ -877,11 +860,15 @@ class FastEvaluator:
             gflops = np.array(found)
         else:
             gflops, _ = model._fill(tables, counts, missed, found)
-        return int(np.argmax(self._objective(gflops))), len(missed)
+        return int(np.argmax(self._objective(gflops))), len(missed), 0
 
     def _best_of_bounded(
-        self, tables: ModelTables, counts: np.ndarray
-    ) -> tuple[int, int]:
+        self,
+        tables: ModelTables,
+        counts: np.ndarray,
+        missed: list[int],
+        found: list[np.ndarray],
+    ) -> tuple[int, int, int]:
         """First argmax over the rows the bound cannot rule out.
 
         Bounds every row, scores the :data:`_FIRST_PASS` rows with the
@@ -890,12 +877,14 @@ class FastEvaluator:
         scores below a scored one, so the first maximum of the scored
         rows in enumeration order is the first maximum of all of them.
         Rows are gathered and scored a row block at a time, so no
-        temporary grows with the space.
+        temporary grows with the space.  A space the first pass would
+        cover has nothing to rule out and is scored whole.
         """
+        if len(counts) <= _FIRST_PASS:
+            return self._best_of_whole(tables, counts, missed, found)
         block = _block_rows(*counts.shape[1:])
         bound = self.bound(tables, counts)
-        first = min(_FIRST_PASS, len(counts))
-        rows = [np.argpartition(bound, -first)[-first:]]
+        rows = [np.argpartition(bound, -_FIRST_PASS)[-_FIRST_PASS:]]
         scores = [self._score_rows(tables, counts, rows[0])]
         best = scores[0].max()
         rest = bound >= best - _BOUND_SLACK * abs(best)
@@ -906,7 +895,8 @@ class FastEvaluator:
             scores.append(self._score_rows(tables, counts, rows[-1]))
         rows, scores = np.concatenate(rows), np.concatenate(scores)
         order = np.argsort(rows)
-        return int(rows[order][np.argmax(scores[order])]), len(rows)
+        best = int(rows[order][np.argmax(scores[order])])
+        return best, len(rows), len(counts) - len(rows)
 
     def _score_rows(
         self, tables: ModelTables, counts: np.ndarray, rows: np.ndarray

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
@@ -323,7 +323,8 @@ class NumaPerformanceModel:
         row.  A whole-space search does not come through here: it needs
         only the first best row, which
         :meth:`~repro.core.fasteval.FastEvaluator.best_row` finds
-        through the same tables, cache and kernel.
+        through the same tables and kernel, and this model's cache
+        keeps as one entry.
 
         Parameters
         ----------
@@ -386,6 +387,47 @@ class NumaPerformanceModel:
         out, fresh = self._fill(tables, counts, missed, found)
         cache.store(prefix, [keys[i] for i in missed], fresh)
         return out, len(found)
+
+    def _cached_space(
+        self,
+        machine: MachineTopology,
+        apps: Sequence[AppSpec],
+        counts: np.ndarray,
+        key: Hashable,
+        pick: Callable[
+            [ModelTables, np.ndarray, list[int], list[np.ndarray]],
+            tuple[int, int, int],
+        ],
+    ) -> tuple[int, int, int]:
+        """A whole space's winning row, cached as one entry.
+
+        ``counts`` is the memoised symmetric tensor ``key`` names, which
+        the caller has checked.  On a hit of the entry under ``key`` the
+        answer is ``(row, 0, 0)``.  On a miss every row is looked up
+        (:meth:`~repro.core.fasteval.ScoreCache.lookup_space`), and
+        ``pick(tables, counts, missed, found)`` returns ``(row, rows
+        scored, rows ruled out)`` from the positions that missed and the
+        rows the cache held; the row is then stored as one entry
+        weighing ``len(counts)`` rows.
+        """
+        self._check_workload(machine, apps)
+        tables = self._tables_for(machine, apps)
+        cache = self.cache
+        prefix = (tables.key,)
+        if cache is None:
+            best, missed, found = None, list(range(len(counts))), []
+        else:
+            best, missed, found = cache.lookup_space(prefix, key, counts)
+        if OBS.enabled:
+            self._observe(
+                len(counts), len(counts) if best is not None else len(found)
+            )
+        if best is not None:
+            return best, 0, 0
+        answer = pick(tables, counts, missed, found)
+        if cache is not None:
+            cache.store_space(prefix, key, answer[0], len(counts))
+        return answer
 
     def _fill(
         self,

@@ -22,7 +22,6 @@ from repro.core.candidates import CandidateSpace
 from repro.core.fasteval import (
     FastEvaluator,
     ModelTables,
-    _block_rows,
     batched_app_gflops,
     roofline_bound,
 )
@@ -181,8 +180,6 @@ class TestBoundedSearchIsExact:
         best, scored, pruned = evaluator.best_row(tensor, key)
         assert best == want
         assert scored + pruned == len(tensor)
-        if len(tensor) <= _block_rows(len(apps), machine.num_nodes):
-            assert pruned == 0
 
         result = ExhaustiveSearch(
             NumaPerformanceModel(rule, workers=0, cache_size=0),
