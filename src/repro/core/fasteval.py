@@ -877,14 +877,13 @@ class FastEvaluator:
         scores below a scored one, so the first maximum of the scored
         rows in enumeration order is the first maximum of all of them.
         Rows are gathered and scored a row block at a time, so no
-        temporary grows with the space.  A space the first pass would
-        cover has nothing to rule out and is scored whole.
+        temporary grows with the space.  ``missed`` and ``found`` are
+        not read: every row it scores goes through the kernel.
         """
-        if len(counts) <= _FIRST_PASS:
-            return self._best_of_whole(tables, counts, missed, found)
         block = _block_rows(*counts.shape[1:])
         bound = self.bound(tables, counts)
-        rows = [np.argpartition(bound, -_FIRST_PASS)[-_FIRST_PASS:]]
+        first = min(_FIRST_PASS, len(counts))
+        rows = [np.argpartition(bound, -first)[-first:]]
         scores = [self._score_rows(tables, counts, rows[0])]
         best = scores[0].max()
         rest = bound >= best - _BOUND_SLACK * abs(best)
