@@ -506,7 +506,7 @@ class DeltaSearch(_SearchBase):
         the oracle's, ties included.  Like that search, the audit names
         its batch by the symmetric tensor's key, so its winner is
         cached as one whole-space entry; on a miss the rows this
-        search's climb just scored still hit.
+        search's climb just scored still count as cache hits.
         """
         tensor = space.symmetric_tensor(require_full=self.require_full)
         winner = tensor[

@@ -815,7 +815,8 @@ class FastEvaluator:
         workload, ``space`` and the objective, weighing the space's
         rows, so a returning workload costs one lookup and no kernel
         call.  On a miss every row is looked up, so rows other searches
-        cached count as hits, and a space scored whole reuses them.
+        cached count as hits, and a space scored whole (an objective
+        with no bound) reuses them.
 
         Raises
         ------
