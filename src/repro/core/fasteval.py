@@ -41,8 +41,10 @@ layers:
    best row of a whole symmetric space without scoring all of it when
    the objective carries an upper bound (:func:`roofline_bound` for
    total GFLOPS): it scores the rows with the highest bounds first,
-   then only the rows whose bound reaches the best score found.  The
-   row it returns is the first ``argmax`` of the unpruned scores.
+   then only the rows whose bound reaches the best score found and
+   whose ceiling -- the objective with every thread at its peak, exact
+   to the bit -- lets them beat the first best row.  The row it returns
+   is the first ``argmax`` of the unpruned scores.
 
 The scalar :meth:`~repro.core.model.NumaPerformanceModel.predict`
 remains the ground truth; parity (``|batched - reference| <= 1e-9``) is
@@ -86,11 +88,12 @@ BatchedObjective = Callable[[np.ndarray, Sequence[AppSpec]], np.ndarray]
 ScoreBound = Callable[["ModelTables", np.ndarray], np.ndarray]
 
 #: Rows the bounded search scores first, those with the highest bounds.
-#: A smaller first pass finds a lower best score, which lets more rows
-#: through to the second pass; a larger one scores rows the bound would
-#: have ruled out.  Over 360 searches of 8 apps from perfbench's
-#: ``churn-full`` schedules, 64 scored the fewest rows in all (a mean
-#: of 191 per search, against 245 for 16 and 306 for 256).
+#: A smaller first pass more often misses the best score, which lets
+#: more rows through to the scan after it; a larger one scores rows the
+#: bounds would have ruled out.  Over 3 146 searches of 8 apps from
+#: perfbench's ``churn-full`` schedules (26 seeds), first passes of 16,
+#: 32, 64 and 128 rows scored a mean of 62, 60, 84 and 143 rows per
+#: search and took 8.5, 8.2, 7.9 and 7.8 CPU-seconds in all.
 _FIRST_PASS = 64
 
 #: Relative slack on a bound: a row is ruled out only when its bound is
@@ -412,6 +415,20 @@ def roofline_bound(tables: ModelTables, counts: np.ndarray) -> np.ndarray:
         left *= intensity
         out[lo : lo + rows] = np.minimum(both[:, :n_apps], left).sum(axis=1)
     return out
+
+
+def _highest(values: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the ``k`` largest ``values``, the earliest among equals.
+
+    The ``k``-th largest value may be shared by more entries than fit;
+    those taken are the first in index order.
+    """
+    if k >= len(values):
+        return np.arange(len(values))
+    cut = np.partition(values, -k)[-k]
+    above = np.flatnonzero(values > cut)
+    level = np.flatnonzero(values == cut)[: k - len(above)]
+    return np.concatenate([above, level])
 
 
 def _score_block(
@@ -751,8 +768,8 @@ class FastEvaluator:
 
     :meth:`best_row`, the whole-space step, goes through the model's
     tables, score cache and kernel directly.  When the objective
-    carries a ``bound``, it skips the rows the bound rules out; it
-    returns the same row as scoring every row would.
+    carries a ``bound``, it skips the rows that cannot be the first
+    best one; it returns the same row as scoring every row would.
     """
 
     def __init__(
@@ -809,7 +826,7 @@ class FastEvaluator:
         any other array is refused before the cache is touched.
         Returns ``(row, scored, pruned)``: the index of the first
         maximum of the objective in enumeration order, the rows the
-        kernel scored, and the rows the bound ruled out.
+        kernel scored, and the rows the bounds ruled out.
 
         The model's cache keeps the answer as one entry under the
         workload, ``space`` and the objective, weighing the space's
@@ -870,33 +887,73 @@ class FastEvaluator:
         missed: list[int],
         found: list[np.ndarray],
     ) -> tuple[int, int, int]:
-        """First argmax over the rows the bound cannot rule out.
+        """First argmax over the rows the bounds cannot rule out.
 
-        Bounds every row, scores the :data:`_FIRST_PASS` rows with the
-        highest bounds, then the other rows whose bound reaches the
-        best score found less :data:`_BOUND_SLACK`.  Every row left out
-        scores below a scored one, so the first maximum of the scored
-        rows in enumeration order is the first maximum of all of them.
-        Rows are gathered and scored a row block at a time, so no
-        temporary grows with the space.  ``missed`` and ``found`` are
-        not read: every row it scores goes through the kernel.
+        Bounds every row and scores the :data:`_FIRST_PASS` rows with
+        the highest bounds, the earliest first among equal bounds.
+        Then it scores, a row block at a time in enumeration order, the
+        other rows that can still be the first maximum: a row whose
+        bound is below the best score found less :data:`_BOUND_SLACK`
+        cannot, nor can one whose ceiling (:meth:`_peak_ceiling`, the
+        objective at every thread's peak, exact to the bit) is below
+        it, or equal to it after the first best row found.  The best
+        score and its first row are updated after every block, so when
+        many rows reach the machine's compute peak exactly, the scan
+        stops at the first of them.  Every row left out scores below a
+        scored one, or equal to it later, so the first maximum of the
+        scored rows in enumeration order is the first maximum of all of
+        them.  No temporary grows with the space.  ``missed`` and
+        ``found`` are not read: every row it scores goes through the
+        kernel.
         """
         block = _block_rows(*counts.shape[1:])
         bound = self.bound(tables, counts)
-        first = min(_FIRST_PASS, len(counts))
-        rows = [np.argpartition(bound, -first)[-first:]]
-        scores = [self._score_rows(tables, counts, rows[0])]
-        best = scores[0].max()
-        rest = bound >= best - _BOUND_SLACK * abs(best)
-        rest[rows[0]] = False
-        rest = np.flatnonzero(rest)
-        for lo in range(0, len(rest), block):
-            rows.append(rest[lo : lo + block])
-            scores.append(self._score_rows(tables, counts, rows[-1]))
-        rows, scores = np.concatenate(rows), np.concatenate(scores)
-        order = np.argsort(rows)
-        best = int(rows[order][np.argmax(scores[order])])
-        return best, len(rows), len(counts) - len(rows)
+        rows = _highest(bound, min(_FIRST_PASS, len(counts)))
+        scores = self._score_rows(tables, counts, rows)
+        top = scores.max()
+        at = int(rows[scores == top].min())
+        open_ = bound >= top - _BOUND_SLACK * abs(top)
+        open_[rows] = False
+        rest = np.flatnonzero(open_)
+        bound = bound[rest]
+        ceiling = self._peak_ceiling(tables, counts, rest)
+        scored = len(rows)
+        while True:
+            live = (bound >= top - _BOUND_SLACK * abs(top)) & (
+                (ceiling > top) | ((ceiling == top) & (rest < at))
+            )
+            rest, bound, ceiling = rest[live], bound[live], ceiling[live]
+            if not len(rest):
+                return at, scored, len(counts) - scored
+            rows, rest = rest[:block], rest[block:]
+            bound, ceiling = bound[block:], ceiling[block:]
+            scores = self._score_rows(tables, counts, rows)
+            scored += len(rows)
+            best = scores.max()
+            first = int(rows[np.argmax(scores)])
+            if best > top or (best == top and first < at):
+                top, at = best, first
+
+    def _peak_ceiling(
+        self, tables: ModelTables, counts: np.ndarray, rows: np.ndarray
+    ) -> np.ndarray:
+        """The objective of ``counts[rows]`` at every thread's peak.
+
+        The kernel takes each group's GFLOPS as the smaller of what its
+        bandwidth buys and ``threads * peak``, the same product this
+        forms, and sums the groups in the same order; float sums are
+        monotone, so no row's score is above its ceiling, not even by
+        rounding, for an objective that never falls when an app's
+        GFLOPS rise (see :mod:`repro.core.optimizer`).  Computed a row
+        block at a time.
+        """
+        block = _block_rows(*counts.shape[1:])
+        out = np.empty(len(rows))
+        for lo in range(0, len(rows), block):
+            peak = counts[rows[lo : lo + block]].astype(float)
+            peak *= tables.peak_per_thread
+            out[lo : lo + block] = self._objective(peak.sum(axis=2))
+        return out
 
     def _score_rows(
         self, tables: ModelTables, counts: np.ndarray, rows: np.ndarray

@@ -40,8 +40,8 @@ finds the first best row of a whole symmetric space.  There are two:
   and annealing sends its single proposals through the memo cache.
   Exhaustive search asks for the space's best row, which for an
   objective with a ``bound`` (:func:`total_gflops`) scores only the
-  rows the bound cannot rule out.  It needs an objective with a
-  ``batched`` form, which the built-in objectives all carry.
+  rows that can still be the first best one.  It needs an objective
+  with a ``batched`` form, which the built-in objectives all carry.
 * :class:`ScalarEvaluator` scores each candidate with the reference
   :meth:`~repro.core.model.NumaPerformanceModel.predict` and then the
   objective, every row of a whole space included.  Searches use it for
@@ -91,6 +91,9 @@ __all__ = [
 #: — additionally opts the objective into the searches' fast path, and a
 #: ``bound`` — ``(tables, counts (B, A, N)) -> (B,)``, never below the
 #: score — lets the fast exhaustive search skip rows that cannot win.
+#: An objective with a ``bound`` must also never fall when an app's
+#: GFLOPS rise: the search then takes the ``batched`` form of every
+#: thread at its peak as an exact ceiling on a row's score.
 #: Both must be pure: the score cache keeps a whole space's winner under
 #: the ``batched`` function itself, so its results may depend on nothing
 #: but its arguments.
@@ -380,10 +383,12 @@ class ExhaustiveSearch(_SearchBase):
     The search is one evaluator step over the memoised symmetric
     tensor, named by the tensor's key: its first best row.  The scalar
     evaluator scores every row.  The fast evaluator scores only the
-    rows the objective's bound
+    rows that the objective's bound
     (:func:`~repro.core.fasteval.roofline_bound` for
-    :func:`total_gflops`) cannot rule out, and returns the same row,
-    ties included.  The model's score cache keeps that row as one
+    :func:`total_gflops`) and the score with every thread at its peak
+    cannot rule out, and returns the same row, ties included: when the
+    best rows reach the machine's compute peak, the first of them ends
+    the search.  The model's score cache keeps that row as one
     entry: the same workload searched again costs one cache hit and no
     kernel call.  ``evaluations`` counts every candidate, and the
     ``optimizer/exhaustive`` span's ``scored`` attribute the rows the

@@ -31,9 +31,9 @@ Policy highlights (full semantics in ``docs/SERVICE.md``):
   whole space's winner as one entry, so a returning workload's search
   is one hit, and a new one's costs one store instead of one per
   candidate.  A new workload's search scores only the candidates the
-  roofline bound cannot rule out (a median of 88 of 6 435 over the
-  serve-path benchmark's ``churn-full`` schedules) and still returns
-  the exhaustive answer.
+  roofline bound and the compute-peak ceiling cannot rule out (64 of
+  6 435 in most searches of the serve-path benchmark's ``churn-full``
+  schedules, a mean of 84) and still returns the exhaustive answer.
 * **Incremental re-optimization** — ``mode="delta"`` warm-starts each
   re-optimization from the previous allocation through
   :class:`~repro.core.delta.DeltaSearch` (O(delta) move exploration
@@ -695,8 +695,8 @@ class AllocationService:
         is the ordered spec tuple); replacement churn of a larger app
         pool seldom recreates that, so a full-mode re-optimization
         usually searches the space afresh, scoring only the candidates
-        whose roofline bound can reach the best score found, and stores
-        its winner as one cache entry.  The returned score is the
+        that can still be the first best one, and stores its winner as
+        one cache entry.  The returned score is the
         scalar model's ground truth for the winner.  In delta mode the incremental searcher is warm-started
         from the previous answer instead of re-searching the whole
         space.

@@ -224,6 +224,48 @@ class TestBoundedSearchIsExact:
         bound = roofline_bound(tables, tensor[rows])
         assert np.all(bound >= score * (1 - 1e-12))
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        workload=workloads(),
+        rule=st.sampled_from(list(RemainderRule)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_ceiling_is_never_below_the_score(self, workload, rule, seed):
+        # Not even by rounding: the ceiling rules rows out with no slack.
+        # The rows are drawn apart from the batch the scores come from.
+        machine, apps, require_full = workload
+        space = CandidateSpace(machine, len(apps))
+        tensor = space.symmetric_tensor(require_full=require_full)
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(len(tensor), size=int(rng.integers(1, 700)))
+        tables = ModelTables.build(machine, apps, rule)
+        score = total_gflops.batched(
+            batched_app_gflops(tables, tensor, rule), apps
+        )
+        evaluator = FastEvaluator.create(
+            NumaPerformanceModel(rule, workers=0), machine, apps, total_gflops
+        )
+        ceiling = evaluator._peak_ceiling(tables, tensor, rows)
+        assert np.all(ceiling >= score[rows])
+
+    @pytest.mark.parametrize("rule", list(RemainderRule))
+    def test_a_plateau_at_the_compute_peak_stops_the_scan(self, rule):
+        # Every thread can run at its peak in every full row, so all
+        # 6 435 rows tie exactly.  The first row wins, and no row after
+        # it can beat its score, which is every row's ceiling.
+        machine = model_machine()
+        apps = [
+            AppSpec(name=f"hot{a}", arithmetic_intensity=16.0)
+            for a in range(8)
+        ]
+        space = CandidateSpace(machine, len(apps))
+        tensor, key = space.symmetric_tensor(), space.symmetric_key()
+        assert unpruned_first_argmax(machine, apps, tensor, rule) == 0
+        evaluator = FastEvaluator.create(
+            NumaPerformanceModel(rule, workers=0), machine, apps, total_gflops
+        )
+        assert evaluator.best_row(tensor, key) == (0, 64, len(tensor) - 64)
+
     @pytest.mark.parametrize("rule", list(RemainderRule))
     @pytest.mark.parametrize("n_apps", [8, 10])
     def test_service_mixes_are_pruned_and_exact(self, rule, n_apps):
