@@ -26,17 +26,13 @@ layers:
    app through a ``(B, apps, nodes, nodes)`` tensor and water-filled one
    node at a time (``tests/test_core_kernel_identity.py``).
 3. **Memoisation** — :class:`ScoreCache` is a bounded LRU with a
-   budget in rows.  A partial batch is cached row by row under
-   ``(workload fingerprint, counts bytes)``: hill climbing and
-   annealing revisit the same allocations constantly, and a revisit
-   costs one dict lookup instead of a model evaluation.  Such a batch
-   makes one round trip: its row keys are built in one step
-   (:func:`row_keys`) and the fingerprint is hashed once per lookup
-   and store, not per row.  A whole symmetric space is searched, not
-   cached row by row: its entry under ``(workload fingerprint, space
-   key, objective)`` holds the winning row, so a returning workload's
-   whole-space search is one hit and a new workload's, which can never
-   hit, pays for one store instead of ``B``.
+   budget in rows that keeps whole-space winners: the entry under
+   ``(workload fingerprint, space key, objective)`` holds the winning
+   row of a whole symmetric space and weighs its ``B`` rows, so a
+   returning workload's whole-space search is one hit and a new
+   workload's pays for one store.  Batches of single candidates are not
+   cached: a search that revisits allocations (annealing) keeps its own
+   scores for the length of one search.
 4. **Bounded search** — :meth:`FastEvaluator.best_row` finds the first
    best row of a whole symmetric space without scoring all of it when
    the objective carries an upper bound (:func:`roofline_bound` for
@@ -77,7 +73,6 @@ __all__ = [
     "roofline_bound",
     "as_counts_batch",
     "check_oversubscription",
-    "row_keys",
     "workload_fingerprint",
 ]
 
@@ -515,63 +510,23 @@ def _score_block(
     return np.minimum(bandwidth, cf, out=bandwidth).sum(axis=2)
 
 
-class _Prefix:
-    """One interned key prefix and how many cached entries share it."""
-
-    __slots__ = ("key", "entries")
-
-    def __init__(self, key: tuple) -> None:
-        self.key = key
-        self.entries = 0
-
-
-@dataclass(frozen=True, slots=True)
-class _Space:
-    """The last key element of a whole-space entry.
-
-    Equal only to another ``_Space`` of the same key, so a space entry
-    never shares a key with a row entry.  The entry's value is
-    ``(rows it weighs, winning row)``.
-    """
-
-    key: Hashable
-
-
 class ScoreCache:
-    """Bounded LRU of per-app GFLOPS, keyed by exact allocation.
+    """Bounded LRU of whole-space winners, with a budget in rows.
 
-    It holds two kinds of entry, both read-only, so a cached value can
-    be handed to every caller without copying:
+    Each entry is the winning row of a whole symmetric space under
+    ``(workload fingerprint, space key)`` (see
+    :func:`workload_fingerprint`), where the space key names the
+    memoised tensor
+    (:meth:`~repro.core.candidates.CandidateSpace.symmetric_key`) and
+    the objective searched (:meth:`FastEvaluator.best_row`).  A
+    returning workload's whole-space search is then one dict hit, and a
+    new workload's costs one store.
 
-    * a **row entry**, one ``(A,)`` row under ``(workload fingerprint,
-      counts.tobytes())`` — see :func:`workload_fingerprint`.
-      Local-search optimizers revisit allocations constantly (a
-      hill-climb neighbourhood overlaps its predecessor's almost
-      entirely), which is what makes a memo cache worth its memory;
-    * a **space entry**, the winning row of a whole symmetric space
-      under ``(workload fingerprint, space key)``, where the space key
-      names the memoised tensor
-      (:meth:`~repro.core.candidates.CandidateSpace.symmetric_key`) and
-      the objective searched (:meth:`FastEvaluator.best_row`).  A
-      returning workload's whole-space search is then one dict hit, and
-      a new workload's costs one store instead of ``B``.
-
-    Both kinds share one LRU order, one ``hits``/``misses`` tally and one
-    budget of ``maxsize`` rows: a space entry weighs its ``B`` rows.
-    Eviction drops whole entries, least recently used first, until at
-    most ``maxsize`` rows remain, and a space of more than ``maxsize``
-    rows is not stored.  ``len(cache)`` counts rows and :meth:`keys`
-    lists the row entries.
-
-    The keys of one batch differ only in their last element, so
-    :meth:`lookup` and :meth:`store` take the shared prefix
-    ``(fingerprint,)`` once and the last elements as a list.  The cache
-    interns each prefix that still has entries, so a ~1 KB fingerprint
-    is hashed once per lookup or store instead of on every row's
-    ``get``, ``put`` and recency update.  :meth:`get` and :meth:`put`
-    are the one-row case of the same code; a batch leaves the same LRU
-    order and ``hits``/``misses`` counts as a :meth:`get` of every row
-    followed by a :meth:`put` of every miss, in batch order.
+    An entry weighs its space's ``B`` rows, and ``maxsize`` is a budget
+    of rows: eviction drops entries, least recently used first, until
+    at most ``maxsize`` rows remain, and a space of more than
+    ``maxsize`` rows is not stored.  ``len(cache)`` counts rows, and a
+    lookup counts the space's ``B`` rows as ``hits`` or as ``misses``.
     """
 
     def __init__(self, maxsize: int = 65536) -> None:
@@ -580,117 +535,32 @@ class ScoreCache:
         self.maxsize = maxsize
         self.hits = 0
         self.misses = 0
-        self._data: OrderedDict[
-            tuple[_Prefix, Hashable], np.ndarray | tuple[int, int]
-        ] = OrderedDict()
-        self._prefixes: dict[tuple, _Prefix] = {}
-        #: rows held: one per row entry, ``B`` per space entry.
+        #: ``(workload, space) -> (rows it weighs, winning row)``.
+        self._data: OrderedDict[tuple, tuple[int, int]] = OrderedDict()
         self._rows = 0
 
     def __len__(self) -> int:
         return self._rows
 
-    def keys(self) -> list[tuple]:
-        """Every cached row key, least recently used first."""
-        return [
-            prefix.key + (row,)
-            for prefix, row in self._data
-            if type(row) is not _Space
-        ]
-
-    def get(self, key: tuple) -> np.ndarray | None:
-        """The cached row for ``key``, refreshing its recency."""
-        _, found = self.lookup(key[:-1], key[-1:])
-        return found[0] if found else None
-
-    def put(self, key: tuple, row: np.ndarray) -> None:
-        """Insert a row, evicting the least recently used beyond capacity."""
-        row = np.asarray(row)
-        row.setflags(write=False)
-        self.store(key[:-1], key[-1:], row[None])
-
-    def lookup(
-        self, prefix: tuple, rows: Sequence[Hashable]
-    ) -> tuple[list[int], list[np.ndarray]]:
-        """Look up the keys ``prefix + (row,)`` in order; refresh the hits.
-
-        Returns the positions in ``rows`` that missed and the cached
-        values of the rest, both in batch order.  A row repeated in the
-        batch is looked up as often as it appears.
-        """
-        interned = self._prefixes.get(prefix)
-        if interned is None:
-            self.misses += len(rows)
-            return list(range(len(rows))), []
-        get = self._data.get
-        refresh = self._data.move_to_end
-        missed: list[int] = []
-        found: list[np.ndarray] = []
-        for i, row in enumerate(rows):
-            key = (interned, row)
-            value = get(key)
-            if value is None:
-                missed.append(i)
-            else:
-                refresh(key)
-                found.append(value)
-        self.hits += len(found)
-        self.misses += len(missed)
-        return missed, found
-
     def lookup_space(
-        self, prefix: tuple, space: Hashable, counts: np.ndarray
-    ) -> tuple[int | None, list[int], list[np.ndarray]]:
-        """Look up a whole-space batch: its one entry, else its rows.
+        self, workload: tuple, space: Hashable, rows: int
+    ) -> int | None:
+        """The winning row stored for ``space`` under ``workload``, or ``None``.
 
-        ``counts`` is the tensor ``space`` names.  On a hit of the entry
-        :meth:`store_space` made, the entry is refreshed, every row
-        counts as a hit, and the result is ``(best, [], [])``.  On a
-        miss it is ``None`` plus the ``(missed, found)`` of a
-        :meth:`lookup` of every row (:func:`row_keys`), so rows another
-        search stored still hit.  The row keys are built only when
-        ``prefix`` has entries: a workload with none misses every row.
+        ``rows`` is the size of the space.  A hit refreshes the entry
+        and counts ``rows`` hits; a miss counts ``rows`` misses.
         """
-        interned = self._prefixes.get(prefix)
-        if interned is None:
-            self.misses += len(counts)
-            return None, list(range(len(counts))), []
-        key = (interned, _Space(space))
+        key = (workload, space)
         entry = self._data.get(key)
         if entry is None:
-            return None, *self.lookup(prefix, row_keys(counts))
+            self.misses += rows
+            return None
         self._data.move_to_end(key)
-        rows, best = entry
         self.hits += rows
-        return best, [], []
-
-    def store(
-        self, prefix: tuple, rows: Sequence[Hashable], values: np.ndarray
-    ) -> None:
-        """Insert ``values[i]`` under ``prefix + (rows[i],)``, in order.
-
-        ``values`` is made read-only and its rows are cached as views.
-        The least recently used entries beyond capacity are evicted.
-        """
-        values = np.asarray(values)
-        values.setflags(write=False)
-        interned = self._intern(prefix)
-        data = self._data
-        keys = [(interned, row) for row in rows]
-        before = len(data)
-        data.update(zip(keys, values))
-        added = len(data) - before
-        if added < len(keys):
-            # Some keys were already cached (or repeat in the batch):
-            # each put moves its key to the most recent end.
-            for key in keys:
-                data.move_to_end(key)
-        interned.entries += added
-        self._rows += added
-        self._evict()
+        return entry[1]
 
     def store_space(
-        self, prefix: tuple, space: Hashable, best: int, rows: int
+        self, workload: tuple, space: Hashable, best: int, rows: int
     ) -> None:
         """Insert the winning row ``best`` of a ``rows``-row space.
 
@@ -700,58 +570,22 @@ class ScoreCache:
         """
         if rows > self.maxsize:
             return
-        interned = self._intern(prefix)
-        key = (interned, _Space(space))
+        key = (workload, space)
         replaced = self._data.pop(key, None)
-        if replaced is None:
-            interned.entries += 1
-        else:
+        if replaced is not None:
             self._rows -= replaced[0]
         self._data[key] = (rows, best)
         self._rows += rows
-        self._evict()
-
-    def _intern(self, prefix: tuple) -> _Prefix:
-        interned = self._prefixes.get(prefix)
-        if interned is None:
-            interned = self._prefixes[prefix] = _Prefix(prefix)
-        return interned
-
-    def _evict(self) -> None:
-        """Drop whole entries, least recently used first, down to budget."""
-        data = self._data
         while self._rows > self.maxsize:
-            (owner, row), value = data.popitem(last=False)
-            self._rows -= value[0] if type(row) is _Space else 1
-            owner.entries -= 1
-            if not owner.entries:
-                del self._prefixes[owner.key]
+            _, (weight, _) = self._data.popitem(last=False)
+            self._rows -= weight
 
     def clear(self) -> None:
         """Drop every entry and reset the hit/miss tallies."""
         self._data.clear()
-        self._prefixes.clear()
         self._rows = 0
         self.hits = 0
         self.misses = 0
-
-
-def row_keys(counts: np.ndarray) -> list[bytes]:
-    """``counts[b].tobytes()`` for every row of a ``(B, A, N)`` tensor.
-
-    Built in one vectorised step: each row is viewed as one opaque
-    ``A * N * itemsize``-byte record and the records are converted to
-    ``bytes`` together.
-    """
-    batch, apps, nodes = counts.shape
-    flat = np.ascontiguousarray(counts).reshape(batch, apps * nodes)
-    return flat.view(_record(flat.shape[1] * flat.itemsize)).ravel().tolist()
-
-
-@functools.lru_cache(maxsize=16)
-def _record(nbytes: int) -> np.dtype:
-    """The opaque ``nbytes``-byte record dtype (built once per width)."""
-    return np.dtype((np.void, nbytes))
 
 
 class FastEvaluator:
@@ -831,9 +665,7 @@ class FastEvaluator:
         The model's cache keeps the answer as one entry under the
         workload, ``space`` and the objective, weighing the space's
         rows, so a returning workload costs one lookup and no kernel
-        call.  On a miss every row is looked up, so rows other searches
-        cached count as hits, and a space scored whole (an objective
-        with no bound) reuses them.
+        call.
 
         Raises
         ------
@@ -864,28 +696,14 @@ class FastEvaluator:
         )
 
     def _best_of_whole(
-        self,
-        tables: ModelTables,
-        counts: np.ndarray,
-        missed: list[int],
-        found: list[np.ndarray],
+        self, tables: ModelTables, counts: np.ndarray
     ) -> tuple[int, int, int]:
-        """First argmax over every row; ``found`` rows are not rescored."""
-        model = self.model
-        if len(missed) == len(counts):
-            gflops = model._batch_gflops(tables, counts)
-        elif not missed:
-            gflops = np.array(found)
-        else:
-            gflops, _ = model._fill(tables, counts, missed, found)
-        return int(np.argmax(self._objective(gflops))), len(missed), 0
+        """First argmax over every row, all scored by the kernel."""
+        gflops = self.model._batch_gflops(tables, counts)
+        return int(np.argmax(self._objective(gflops))), len(counts), 0
 
     def _best_of_bounded(
-        self,
-        tables: ModelTables,
-        counts: np.ndarray,
-        missed: list[int],
-        found: list[np.ndarray],
+        self, tables: ModelTables, counts: np.ndarray
     ) -> tuple[int, int, int]:
         """First argmax over the rows the bounds cannot rule out.
 
@@ -902,9 +720,7 @@ class FastEvaluator:
         stops at the first of them.  Every row left out scores below a
         scored one, or equal to it later, so the first maximum of the
         scored rows in enumeration order is the first maximum of all of
-        them.  No temporary grows with the space.  ``missed`` and
-        ``found`` are not read: every row it scores goes through the
-        kernel.
+        them.  No temporary grows with the space.
         """
         block = _block_rows(*counts.shape[1:])
         bound = self.bound(tables, counts)

@@ -37,7 +37,6 @@ from repro.core.fasteval import (
     ScoreCache,
     as_counts_batch,
     batched_app_gflops,
-    row_keys,
     workload_fingerprint,
 )
 from repro.core.spec import AppSpec, Placement
@@ -188,12 +187,12 @@ class NumaPerformanceModel:
         see :class:`~repro.core.bwshare.RemainderRule`.  The paper's
         published numbers are identical under both rules.
     cache_size:
-        Capacity of the score memo cache backing
-        :meth:`predict_scores`, in rows (LRU-evicted): a cached row
-        counts one, a whole space's cached winner its ``B`` rows.
-        Local-search optimizers revisit allocations constantly, so the
-        cache is on by default; pass ``0`` to disable memoisation
-        entirely.
+        Capacity of the score cache, in rows (LRU-evicted): it keeps
+        the winning row of each whole symmetric space searched, and an
+        entry weighs its space's ``B`` rows
+        (:class:`~repro.core.fasteval.ScoreCache`).  A returning
+        workload's exhaustive search is then one lookup; pass ``0`` to
+        disable the cache.
     workers:
         Process count for big score batches (:mod:`repro.core.
         parallel`).  ``None`` reads the ``REPRO_WORKERS`` environment
@@ -316,12 +315,9 @@ class NumaPerformanceModel:
         The score-only counterpart of :meth:`predict`: phases 1 and 2 of
         the model run vectorised over a batch axis
         (:mod:`repro.core.fasteval`) and no result dataclasses are
-        assembled.  Rows already in the memo cache are served from it;
-        only the misses are evaluated, in one batched call.  The cache
-        round trip is one lookup and one store per batch
-        (:meth:`~repro.core.fasteval.ScoreCache.lookup`), not one per
-        row.  A whole-space search does not come through here: it needs
-        only the first best row, which
+        assembled.  Every row goes through the kernel, in one batched
+        call.  A whole-space search does not come through here: it
+        needs only the first best row, which
         :meth:`~repro.core.fasteval.FastEvaluator.best_row` finds
         through the same tables and kernel, and this model's cache
         keeps as one entry.
@@ -353,40 +349,10 @@ class NumaPerformanceModel:
         """
         self._check_workload(machine, apps)
         counts = as_counts_batch(allocations, len(apps), machine.num_nodes)
-        tables = self._tables_for(machine, apps)
-        cache = self.cache
-        if cache is None:
-            gflops, hits = self._batch_gflops(tables, counts), 0
-        else:
-            gflops, hits = self._cached_rows(cache, tables, counts)
+        gflops = self._batch_gflops(self._tables_for(machine, apps), counts)
         if OBS.enabled:
-            self._observe(len(counts), hits)
+            self._obs_batched.add(len(counts))
         return gflops
-
-    def _observe(self, rows: int, hits: int) -> None:
-        """Count a batch of ``rows`` candidates, ``hits`` of them cached."""
-        self._obs_batched.add(rows)
-        if hits:
-            self._obs_cache_hits.add(hits)
-        if hits < rows:
-            self._obs_cache_misses.add(rows - hits)
-
-    def _cached_rows(
-        self, cache: ScoreCache, tables: ModelTables, counts: np.ndarray
-    ) -> tuple[np.ndarray, int]:
-        """Scores of a batch cached row by row, and its hit count."""
-        keys = row_keys(counts)
-        prefix = (tables.key,)
-        missed, found = cache.lookup(prefix, keys)
-        if len(missed) == len(counts):
-            fresh = self._batch_gflops(tables, counts)
-            cache.store(prefix, keys, fresh)
-            return fresh.copy(), 0
-        if not missed:
-            return np.array(found), len(found)
-        out, fresh = self._fill(tables, counts, missed, found)
-        cache.store(prefix, [keys[i] for i in missed], fresh)
-        return out, len(found)
 
     def _cached_space(
         self,
@@ -394,56 +360,38 @@ class NumaPerformanceModel:
         apps: Sequence[AppSpec],
         counts: np.ndarray,
         key: Hashable,
-        pick: Callable[
-            [ModelTables, np.ndarray, list[int], list[np.ndarray]],
-            tuple[int, int, int],
-        ],
+        pick: Callable[[ModelTables, np.ndarray], tuple[int, int, int]],
     ) -> tuple[int, int, int]:
         """A whole space's winning row, cached as one entry.
 
         ``counts`` is the memoised symmetric tensor ``key`` names, which
         the caller has checked.  On a hit of the entry under ``key`` the
-        answer is ``(row, 0, 0)``.  On a miss every row is looked up
-        (:meth:`~repro.core.fasteval.ScoreCache.lookup_space`), and
-        ``pick(tables, counts, missed, found)`` returns ``(row, rows
-        scored, rows ruled out)`` from the positions that missed and the
-        rows the cache held; the row is then stored as one entry
-        weighing ``len(counts)`` rows.
+        answer is ``(row, 0, 0)``
+        (:meth:`~repro.core.fasteval.ScoreCache.lookup_space`).  On a
+        miss ``pick(tables, counts)`` returns ``(row, rows scored, rows
+        ruled out)``, and the row is stored as one entry weighing
+        ``len(counts)`` rows.
         """
         self._check_workload(machine, apps)
         tables = self._tables_for(machine, apps)
         cache = self.cache
-        prefix = (tables.key,)
-        if cache is None:
-            best, missed, found = None, list(range(len(counts))), []
-        else:
-            best, missed, found = cache.lookup_space(prefix, key, counts)
+        best = (
+            None
+            if cache is None
+            else cache.lookup_space(tables.key, key, len(counts))
+        )
         if OBS.enabled:
-            self._observe(
-                len(counts), len(counts) if best is not None else len(found)
-            )
+            self._obs_batched.add(len(counts))
+            if best is None:
+                self._obs_cache_misses.add(len(counts))
+            else:
+                self._obs_cache_hits.add(len(counts))
         if best is not None:
             return best, 0, 0
-        answer = pick(tables, counts, missed, found)
+        answer = pick(tables, counts)
         if cache is not None:
-            cache.store_space(prefix, key, answer[0], len(counts))
+            cache.store_space(tables.key, key, answer[0], len(counts))
         return answer
-
-    def _fill(
-        self,
-        tables: ModelTables,
-        counts: np.ndarray,
-        missed: list[int],
-        found: list[np.ndarray],
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """A partly cached batch: ``(whole batch, kernel rows of missed)``."""
-        out = np.empty((len(counts), len(tables.intensity)))
-        hit = np.ones(len(counts), dtype=bool)
-        hit[missed] = False
-        out[hit] = found
-        fresh = self._batch_gflops(tables, counts[missed])
-        out[missed] = fresh
-        return out, fresh
 
     def _tables_for(
         self, machine: MachineTopology, apps: Sequence[AppSpec]

@@ -37,7 +37,7 @@ finds the first best row of a whole symmetric space.  There are two:
   batched engine of :mod:`repro.core.fasteval`.  Greedy and hill
   climbing score each round's candidate set in one
   :meth:`~repro.core.model.NumaPerformanceModel.predict_scores` call,
-  and annealing sends its single proposals through the memo cache.
+  and annealing scores its single proposals one call each.
   Exhaustive search asks for the space's best row, which for an
   objective with a ``bound`` (:func:`total_gflops`) scores only the
   rows that can still be the first best one.  It needs an objective
@@ -288,10 +288,14 @@ class _SearchBase:
     ) -> np.ndarray:
         """Objective score of each ``(B, A, N)`` candidate, counted."""
         scores = evaluator.scores(counts)
-        self._evaluations += len(scores)
-        if OBS.enabled:
-            _EVALUATIONS.add(len(scores))
+        self._count(len(scores))
         return scores
+
+    def _count(self, evaluations: int) -> None:
+        """Add ``evaluations`` to the search's tally and its counter."""
+        self._evaluations += evaluations
+        if OBS.enabled:
+            _EVALUATIONS.add(evaluations)
 
     def _best_row(
         self,
@@ -583,10 +587,11 @@ class AnnealingSearch(_SearchBase):
 
     Annealing's proposals are inherently sequential (each depends on the
     previous accept/reject draw), so the loop scores them one at a time.
-    Through the fast evaluator each goes through the model's memo cache,
-    so revisited allocations, which dominate late in the cooling
-    schedule, cost a dict lookup instead of a model evaluation.  Each
-    evaluator gives a deterministic walk for a fixed seed, but the two
+    It keeps every proposal's score for the rest of the search, so
+    revisited allocations, which dominate late in the cooling schedule,
+    cost a dict lookup instead of a model evaluation, whichever
+    evaluator scores them; a revisit still counts as one evaluation.
+    Each evaluator gives a deterministic walk for a fixed seed, but the two
     walks may differ (both valid): when two allocations tie exactly,
     the 1e-14-scale rounding difference between scalar and vectorised
     arithmetic can flip the ``delta >= 0`` shortcut and desynchronise
@@ -644,7 +649,17 @@ class AnnealingSearch(_SearchBase):
         current = _start_allocation(machine, apps, start)
         evaluator = self._evaluator(machine, apps)
         space = self._space(machine, apps)
-        score = float(self._score_batch(evaluator, current.counts[None])[0])
+        scores: dict[bytes, float] = {}
+
+        def score_of(counts: np.ndarray) -> float:
+            key = counts.tobytes()
+            s = scores.get(key)
+            if s is None:
+                s = scores[key] = float(evaluator.scores(counts[None])[0])
+            self._count(1)
+            return s
+
+        score = score_of(current.counts)
         best = (score, current)
         temperature = self.initial_temperature
         trajectory = [score]
@@ -657,7 +672,7 @@ class AnnealingSearch(_SearchBase):
                 break
             ai, dj, n = move
             cand = current.move_thread(names[ai], names[dj], n)
-            s = float(self._score_batch(evaluator, cand.counts[None])[0])
+            s = score_of(cand.counts)
             delta = s - score
             if delta >= 0 or rng.random() < math.exp(delta / temperature):
                 current, score = cand, s

@@ -24,13 +24,12 @@ Policy highlights (full semantics in ``docs/SERVICE.md``):
   burst of joins/leaves costs one search, not one per event.
 * **Score-cache reuse** — the service owns a single
   :class:`~repro.core.model.NumaPerformanceModel` whose
-  :class:`~repro.core.fasteval.ScoreCache` persists across churn;
+  :class:`~repro.core.fasteval.ScoreCache` persists across churn.
+  The cache keeps each whole-space search's winner as one entry, so
   when a departed workload returns with the same apps in the same
-  admission order, its candidate scores are cache hits (property-tested
-  in ``tests/test_core_fasteval.py``).  A full-mode search caches the
-  whole space's winner as one entry, so a returning workload's search
-  is one hit, and a new one's costs one store instead of one per
-  candidate.  A new workload's search scores only the candidates the
+  admission order its search is one cache hit (property-tested in
+  ``tests/test_core_fasteval.py``), and a new workload's search costs
+  one store.  A new workload's search scores only the candidates the
   roofline bound and the compute-peak ceiling cannot rule out (64 of
   6 435 in most searches of the serve-path benchmark's ``churn-full``
   schedules, a mean of 84) and still returns the exhaustive answer.

@@ -24,7 +24,6 @@ from repro.core.fasteval import (
     ScoreCache,
     as_counts_batch,
     batched_app_gflops,
-    row_keys,
     workload_fingerprint,
 )
 from repro.core.model import NumaPerformanceModel
@@ -197,154 +196,40 @@ class TestSymmetricCountsTensor:
 
 class TestScoreCache:
     def test_hit_miss_accounting_and_lru_eviction(self):
-        cache = ScoreCache(maxsize=2)
-        cache.put(("a",), np.array([1.0]))
-        cache.put(("b",), np.array([2.0]))
-        assert cache.get(("a",)) is not None  # refreshes "a"
-        cache.put(("c",), np.array([3.0]))  # evicts "b", the LRU
-        assert cache.get(("b",)) is None
-        assert cache.get(("a",)) is not None
-        assert cache.get(("c",)) is not None
-        assert cache.hits == 3 and cache.misses == 1
+        # A budget of 5 rows; each entry weighs its space's rows.
+        cache = ScoreCache(maxsize=5)
+        cache.store_space(("w",), "a", 1, rows=2)
+        cache.store_space(("w",), "b", 2, rows=2)
+        assert cache.lookup_space(("w",), "a", 2) == 1  # refreshes "a"
+        cache.store_space(("w",), "c", 3, rows=3)  # evicts "b", the LRU
+        assert cache.lookup_space(("w",), "b", 2) is None
+        assert cache.lookup_space(("w",), "a", 2) == 1  # refreshes "a"
+        cache.store_space(("w",), "d", 4, rows=1)  # evicts "c"
+        assert cache.lookup_space(("w",), "c", 3) is None
+        assert cache.lookup_space(("v",), "a", 2) is None  # other workload
+        assert (cache.hits, cache.misses, len(cache)) == (4, 7, 3)
+        cache.store_space(("w",), "e", 5, rows=6)  # over budget: not kept
+        assert len(cache) == 3 and cache.lookup_space(("w",), "d", 1) == 4
         cache.clear()
         assert len(cache) == 0 and cache.hits == 0 and cache.misses == 0
-
-    def test_rows_are_read_only(self):
-        cache = ScoreCache()
-        cache.put(("k",), np.array([1.0, 2.0]))
-        row = cache.get(("k",))
-        with pytest.raises(ValueError):
-            row[0] = 9.0
 
     def test_invalid_maxsize(self):
         with pytest.raises(ModelError):
             ScoreCache(maxsize=0)
 
 
-class _PerRowLRU:
-    """The cache's reference semantics: one dict operation per row."""
-
-    def __init__(self, maxsize):
-        self.maxsize = maxsize
-        self.hits = 0
-        self.misses = 0
-        self.data = OrderedDict()
-
-    def get(self, key):
-        row = self.data.get(key)
-        if row is None:
-            self.misses += 1
-            return None
-        self.data.move_to_end(key)
-        self.hits += 1
-        return row
-
-    def put(self, key, row):
-        self.data[key] = row
-        self.data.move_to_end(key)
-        while len(self.data) > self.maxsize:
-            self.data.popitem(last=False)
-
-
-def _row_value(workload, row):
-    return np.array([float(row), float(len(workload)), 0.5])
-
-
-#: Batches over two workloads and a handful of rows: repeats inside a
-#: batch, hits from earlier batches and evictions all happen often.
-_batches = st.lists(
-    st.tuples(
-        st.sampled_from(["w", "ww"]),
-        st.lists(st.integers(0, 6), min_size=1, max_size=10),
-    ),
-    min_size=1,
-    max_size=8,
-)
-
-
-class TestBatchedRoundTrip:
-    """``lookup`` + ``store`` of a batch behave exactly like a ``get``
-    of every row followed by a ``put`` of every miss."""
-
-    @staticmethod
-    def _round_trip(cache, workload, rows):
-        missed, found = cache.lookup((workload,), rows)
-        values = np.array([_row_value(workload, rows[i]) for i in missed])
-        if missed:
-            cache.store((workload,), [rows[i] for i in missed], values)
-        out, hits, misses = [], iter(found), iter(values)
-        for i in range(len(rows)):
-            out.append(next(misses) if i in missed else next(hits))
-        return out
-
-    @staticmethod
-    def _per_row(cache, workload, rows):
-        out = [cache.get((workload, row)) for row in rows]
-        for row, value in zip(rows, out):
-            if value is None:
-                cache.put((workload, row), _row_value(workload, row))
-        return [
-            _row_value(workload, row) if value is None else value
-            for row, value in zip(rows, out)
-        ]
-
-    @settings(max_examples=200, deadline=None)
-    @given(maxsize=st.integers(1, 12), batches=_batches)
-    def test_batches_match_per_row_get_and_put(self, maxsize, batches):
-        batched = ScoreCache(maxsize)
-        per_row = ScoreCache(maxsize)
-        reference = _PerRowLRU(maxsize)
-        for workload, rows in batches:
-            got = self._round_trip(batched, workload, rows)
-            one_by_one = self._per_row(per_row, workload, rows)
-            want = self._per_row(reference, workload, rows)
-            for a, b, c in zip(got, one_by_one, want):
-                assert np.array_equal(a, c) and np.array_equal(b, c)
-            assert batched.keys() == per_row.keys() == list(reference.data)
-            assert len(batched) == len(reference.data) <= maxsize
-        assert (batched.hits, batched.misses) == (
-            reference.hits,
-            reference.misses,
-        )
-        assert (per_row.hits, per_row.misses) == (
-            reference.hits,
-            reference.misses,
-        )
-
-    def test_prefixes_without_rows_are_dropped(self):
-        cache = ScoreCache(maxsize=2)
-        cache.store(("old",), [1, 2], np.zeros((2, 1)))
-        cache.store(("new",), [1, 2], np.ones((2, 1)))
-        assert cache.keys() == [("new", 1), ("new", 2)]
-        assert list(cache._prefixes) == [("new",)]
-        assert cache.get(("old", 1)) is None
-
-    def test_stored_rows_are_read_only(self):
-        cache = ScoreCache()
-        cache.store(("w",), [b"a", b"b"], np.arange(4.0).reshape(2, 2))
-        _, (row,) = cache.lookup(("w",), [b"b"])
-        assert np.array_equal(row, [2.0, 3.0])
-        with pytest.raises(ValueError):
-            row[0] = 9.0
-
-    def test_row_keys_are_the_rows_bytes(self):
-        counts = np.arange(24, dtype=np.int64).reshape(3, 2, 4)
-        assert row_keys(counts) == [c.tobytes() for c in counts]
-        assert row_keys(counts[:, :, ::2]) == [
-            c.tobytes() for c in counts[:, :, ::2]
-        ]
-        assert row_keys(counts[:0]) == []
-
-
 class TestModelCache:
     def test_second_call_is_all_hits(self, paper_machine, paper_apps):
         model = NumaPerformanceModel()
-        counts = symmetric_counts_tensor(paper_machine, len(paper_apps))
-        first = model.predict_scores(paper_machine, paper_apps, counts)
-        assert model.cache.misses == len(counts)
-        second = model.predict_scores(paper_machine, paper_apps, counts)
+        space = CandidateSpace(paper_machine, len(paper_apps))
+        counts, key = space.symmetric_tensor(), space.symmetric_key()
+        evaluator = FastEvaluator.create(
+            model, paper_machine, paper_apps, total_gflops
+        )
+        best, _, _ = evaluator.best_row(counts, key)
+        assert (model.cache.hits, model.cache.misses) == (0, len(counts))
+        assert evaluator.best_row(counts, key) == (best, 0, 0)
         assert model.cache.hits == len(counts)
-        assert np.array_equal(first, second)
 
     def test_cache_can_be_disabled(self, paper_machine, paper_apps):
         model = NumaPerformanceModel(cache_size=0)
@@ -391,12 +276,16 @@ class TestModelCache:
         model = NumaPerformanceModel()
         counts = symmetric_counts_tensor(paper_machine, len(paper_apps))
         with capture() as cap:
-            model.predict_scores(paper_machine, paper_apps, counts)
-            model.predict_scores(paper_machine, paper_apps, counts)
+            model.predict_scores(paper_machine, paper_apps, counts[:10])
+            ExhaustiveSearch(model).search(paper_machine, paper_apps)
+            ExhaustiveSearch(model).search(paper_machine, paper_apps)
         metrics = cap.metrics
+        # Every candidate counts as a batched evaluation; only the
+        # whole-space step looks the cache up, its one entry missing
+        # and then hitting for all the space's candidates.
         assert (
             metrics.counter("model/batched_evaluations").value
-            == 2 * len(counts)
+            == 10 + 2 * len(counts)
         )
         assert metrics.counter("model/cache_misses").value == len(counts)
         assert metrics.counter("model/cache_hits").value == len(counts)
@@ -661,8 +550,9 @@ _space_rows = st.lists(
 
 
 class TestCachedScoresAreExact:
-    """Cached ``predict_scores`` output is byte-for-byte the uncached
-    kernel's, whichever rows hit."""
+    """``predict_scores`` output is byte-for-byte the uncached kernel's,
+    whatever the cache size and whichever rows repeat: batches of
+    candidates are scored, never served from the cache."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -674,7 +564,8 @@ class TestCachedScoresAreExact:
         self, cache_size, first, fresh
     ):
         model = NumaPerformanceModel(cache_size=cache_size)
-        # all miss, then (up to evictions) all hit, then mixed.
+        # The same rows twice, then with fresh ones: each batch is
+        # scored afresh.
         for rows in (first, first, first + fresh):
             counts = _CACHE_SPACE[rows]
             got = model.predict_scores(_MACHINE, _CACHE_APPS, counts)
@@ -685,16 +576,13 @@ class TestCachedScoresAreExact:
     def test_each_batch_kind_is_exercised(self):
         model = NumaPerformanceModel()
         cache = model.cache
-        for rows, hits, misses in (
-            ([0, 1, 1], 0, 3),
-            ([0, 1, 1], 3, 3),
-            ([1, 2], 4, 4),
-        ):
+        for rows in ([0, 1, 1], [0, 1, 1], [1, 2]):
             counts = _CACHE_SPACE[rows]
             got = model.predict_scores(_MACHINE, _CACHE_APPS, counts)
             want = _UNCACHED.predict_scores(_MACHINE, _CACHE_APPS, counts)
             assert np.array_equal(got, want)
-            assert (cache.hits, cache.misses) == (hits, misses)
+            # Neither looked up nor stored.
+            assert (cache.hits, cache.misses, len(cache)) == (0, 0, 0)
 
 
 #: A machine small enough that a whole space fits a tiny cache: three
@@ -734,67 +622,37 @@ def _small_space(require_full):
     )
 
 
-class _WeightedLRU:
-    """Reference semantics of row and space entries: one LRU order,
-    one tally, a budget of rows with a space weighing its rows."""
+class _SpaceLRU:
+    """Reference semantics of the cache: one LRU order of whole-space
+    entries, each weighing its space's rows, in a budget of rows."""
 
     def __init__(self, maxsize):
         self.maxsize = maxsize
         self.hits = 0
         self.misses = 0
-        self.data = OrderedDict()  # key -> rows it weighs
+        self.data = OrderedDict()  # (workload, space) -> rows it weighs
 
     def rows(self):
         return sum(self.data.values())
 
-    def row_keys(self):
-        return [key[1:] for key in self.data if key[0] == "row"]
-
-    def space_rows(self):
-        return sum(w for key, w in self.data.items() if key[0] == "space")
-
-    def _get(self, key):
+    def search(self, workload, space, rows):
+        """Look the space up, store it on a miss; returns whether it hit."""
+        key = (workload, space)
         if key in self.data:
             self.data.move_to_end(key)
+            self.hits += rows
             return True
-        return False
-
-    def _put(self, key, weight):
-        if weight > self.maxsize:
-            return
-        self.data.pop(key, None)
-        self.data[key] = weight
-        while self.rows() > self.maxsize:
-            self.data.popitem(last=False)
-
-    def rows_batch(self, workload, rows):
-        missed = []
-        for row in rows:
-            if self._get(("row", workload, row)):
-                self.hits += 1
-            else:
-                self.misses += 1
-                missed.append(row)
-        for row in missed:
-            self._put(("row", workload, row), 1)
-
-    def space_batch(self, workload, space, rows):
-        """Returns whether the space entry hit."""
-        if self._get(("space", workload, space)):
-            self.hits += len(rows)
-            return True
-        for row in rows:
-            if self._get(("row", workload, row)):
-                self.hits += 1
-            else:
-                self.misses += 1
-        self._put(("space", workload, space), len(rows))
+        self.misses += rows
+        if rows <= self.maxsize:
+            self.data[key] = rows
+            while self.rows() > self.maxsize:
+                self.data.popitem(last=False)
         return False
 
 
-#: (workload, require_full, rows): ``rows=None`` scores the whole space
-#: under its key; a row list scores a copy of those rows of the full
-#: space, cached row by row.
+#: (workload, require_full, rows): ``rows=None`` searches the whole
+#: space under its key; a row list scores a copy of those rows of the
+#: full space through ``predict_scores``, which caches nothing.
 _mixed_batches = st.lists(
     st.tuples(
         st.sampled_from([0, 1]),
@@ -824,15 +682,10 @@ class TestWholeSpaceEntry:
 
     @settings(max_examples=150, deadline=None)
     @given(maxsize=st.integers(1, 40), batches=_mixed_batches)
-    def test_rows_and_spaces_share_one_budget(self, maxsize, batches):
+    def test_spaces_share_one_budget_of_rows(self, maxsize, batches):
         model = NumaPerformanceModel(cache_size=maxsize)
-        uncached = NumaPerformanceModel(cache_size=0)
         cache = model.cache
-        reference = _WeightedLRU(maxsize)
-        prefixes = [
-            (workload_fingerprint(_SMALL, w, model.remainder_rule),)
-            for w in _SMALL_WORKLOADS
-        ]
+        reference = _SpaceLRU(maxsize)
         kernel = mock.patch.object(
             model_module,
             "batched_app_gflops",
@@ -842,39 +695,26 @@ class TestWholeSpaceEntry:
             for workload, require_full, rows in batches:
                 apps = _SMALL_WORKLOADS[workload]
                 tensor, key = _small_space(require_full)
-                before = (cache.hits, calls.call_count, cache.keys())
+                before = (cache.hits, cache.misses, len(cache))
                 if rows is None:
+                    kernel_calls = calls.call_count
                     best, scored, _ = _first_best(model, apps, tensor, key)
-                    hit = reference.space_batch(
-                        workload, key, [r.tobytes() for r in tensor]
-                    )
-                    if hit:
-                        assert cache.hits == before[0] + len(tensor)
-                        assert calls.call_count == before[1]
+                    if reference.search(workload, key, len(tensor)):
+                        assert calls.call_count == kernel_calls
                         assert scored == 0
-                    if len(tensor) > maxsize:
-                        assert set(cache.keys()) == set(before[2])
                     assert best == _unpruned_best(apps, tensor)
                 else:
                     counts = symmetric_counts_tensor(_SMALL, 3)[rows]
                     got = model.predict_scores(_SMALL, apps, counts)
-                    reference.rows_batch(
-                        workload, [r.tobytes() for r in counts]
-                    )
-                    want = uncached.predict_scores(_SMALL, apps, counts)
+                    want = _UNCACHED.predict_scores(_SMALL, apps, counts)
                     assert np.array_equal(got, want)
                     assert got.flags.writeable
+                    assert (cache.hits, cache.misses, len(cache)) == before
                 assert (cache.hits, cache.misses) == (
                     reference.hits,
                     reference.misses,
                 )
-                assert cache.keys() == [
-                    prefixes[w] + (row,) for w, row in reference.row_keys()
-                ]
-                assert len(cache) == (
-                    len(cache.keys()) + reference.space_rows()
-                )
-                assert len(cache) <= maxsize
+                assert len(cache) == reference.rows() <= maxsize
 
     def test_a_space_hit_is_one_lookup_and_no_kernel_call(self):
         model = NumaPerformanceModel()
@@ -892,8 +732,8 @@ class TestWholeSpaceEntry:
         best = _unpruned_best(apps, tensor)
         # The miss scores the 15 rows; the hit scores none.
         assert (first, second) == ((best, 15, 0), (best, 0, 0))
-        # One space entry: no row entries, 15 rows of budget.
-        assert model.cache.keys() == [] and len(model.cache) == 15
+        # One space entry, 15 rows of budget.
+        assert len(model.cache) == 15
 
     def test_the_objective_is_part_of_the_key(self):
         model = NumaPerformanceModel()
@@ -921,20 +761,14 @@ class TestWholeSpaceEntry:
         model = NumaPerformanceModel()
         apps = _SMALL_WORKLOADS[0]
         tensor, key = _small_space(True)
-        model.predict_scores(_SMALL, apps, tensor[:3])
-        state = (
-            model.cache.hits,
-            model.cache.misses,
-            len(model.cache),
-            model.cache.keys(),
-        )
+        _first_best(model, apps, *_small_space(False))
+        state = (model.cache.hits, model.cache.misses, len(model.cache))
         with pytest.raises(ModelError, match="space"):
             _first_best(model, apps, batch(tensor), key)
         assert state == (
             model.cache.hits,
             model.cache.misses,
             len(model.cache),
-            model.cache.keys(),
         )
 
     @pytest.mark.parametrize(
@@ -947,12 +781,12 @@ class TestWholeSpaceEntry:
         model = NumaPerformanceModel()
         apps = _SMALL_WORKLOADS[1]
         first = ExhaustiveSearch(model).search(_SMALL, apps)
-        assert model.cache.keys() == [] and len(model.cache) == 15
+        assert len(model.cache) == 15
         again = ExhaustiveSearch(model).search(_SMALL, apps)
         assert (model.cache.hits, model.cache.misses) == (15, 15)
         assert again.allocation.as_mapping() == first.allocation.as_mapping()
 
-    def test_delta_audit_stores_one_entry_after_the_climb_rows(self):
+    def test_delta_audit_stores_one_entry(self):
         model = NumaPerformanceModel()
         apps = _SMALL_WORKLOADS[0]
         previous = ExhaustiveSearch(model).search(_SMALL, apps[:2])
@@ -964,6 +798,7 @@ class TestWholeSpaceEntry:
             previous_specs=apps[:2],
         )
         assert outcome.mode == "delta" and outcome.audited
-        climbed = len(model.cache.keys())
-        assert climbed > 0
-        assert len(model.cache) == climbed + 15
+        # The repair and climb batches are scored, not cached: the
+        # audit's space entry is all the cache holds.
+        assert len(model.cache) == 15
+        assert (model.cache.hits, model.cache.misses) == (0, 15)

@@ -269,13 +269,17 @@ class TestSearchDeterminism:
         space = CandidateSpace(paper_machine, len(paper_apps))
         counts = space.symmetric_tensor()
         first = model.predict_scores(paper_machine, paper_apps, counts)
-        with capture() as cap:
-            second = model.predict_scores(
-                paper_machine, paper_apps, counts
-            )
+        second = model.predict_scores(paper_machine, paper_apps, counts)
         assert first.tobytes() == second.tobytes()
-        # Every row the pool scored came back through the memo cache.
-        assert cap.metrics.counter("model/cache_hits").value > 0
+        # The winner of the rows the pool scored is cached as one
+        # whole-space entry: the same search again is one hit.
+        cold = ExhaustiveSearch(model=model).search(paper_machine, paper_apps)
+        with capture() as cap:
+            warm = ExhaustiveSearch(model=model).search(
+                paper_machine, paper_apps
+            )
+        assert warm.allocation.as_mapping() == cold.allocation.as_mapping()
+        assert cap.metrics.counter("model/cache_hits").value == len(counts)
         assert cap.metrics.counter("model/cache_misses").value == 0
 
 
