@@ -361,26 +361,14 @@ class CandidateSpace:
         comp = np.asarray(comp, dtype=np.int64)
         return np.repeat(comp[:, None], self.num_nodes, axis=1)
 
-    def composition_moves(
-        self, comp: np.ndarray, movable=None
-    ) -> list[tuple[int, int]]:
+    def composition_moves(self, comp: np.ndarray) -> list[tuple[int, int]]:
         """Transfers of one per-node thread between apps, ``(src, dst)``.
 
         Each move shifts one thread per node from ``src`` to ``dst``
-        (the allocation stays symmetric).  ``movable`` restricts the
-        neighbourhood to moves *touching* the given app indices — the
-        O(delta) restriction the incremental searcher climbs with.
+        (the allocation stays symmetric); order is sources outermost.
         """
         apps = range(self.num_apps)
-        allowed = None if movable is None else set(movable)
-        return [
-            (i, j)
-            for i in apps
-            for j in apps
-            if i != j
-            and comp[i] > 0
-            and (allowed is None or i in allowed or j in allowed)
-        ]
+        return [(i, j) for i in apps for j in apps if i != j and comp[i] > 0]
 
     def composition_batch(
         self, comp: np.ndarray, moves: list[tuple[int, int]]

@@ -208,12 +208,6 @@ class TestCompositions:
         moves = space.composition_moves(comp)
         assert moves == [(0, 1), (0, 2), (2, 0), (2, 1)]
 
-    def test_movable_restricts_to_touching_moves(self, paper_machine):
-        space = CandidateSpace(paper_machine, 3)
-        comp = np.array([2, 1, 1])
-        moves = space.composition_moves(comp, movable=[2])
-        assert moves == [(0, 2), (1, 2), (2, 0), (2, 1)]
-
     def test_composition_batch_stays_symmetric(self, paper_machine):
         space = CandidateSpace(paper_machine, 3)
         comp = np.array([2, 0, 1])
