@@ -30,9 +30,9 @@ _DEBOUNCE = 0.02
 
 #: Most apps live at once.  Delta mode matches the oracle's allocation,
 #: ties included, only while its audit scores the whole symmetric space
-#: (``audit_limit`` 512 candidates: five apps on the model machine's
-#: 8-core nodes, 1 287 for six).  Past that it may settle on another
-#: allocation of the same score.
+#: (at most 512 candidates, ``repro.core.delta._AUDIT_LIMIT``: five
+#: apps on the model machine's 8-core nodes, 1 287 for six).  Past that
+#: it may settle on another allocation of the same score.
 _MAX_LIVE = 5
 
 #: Gap before each event: inside the debounce window, so events
