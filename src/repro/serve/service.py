@@ -64,6 +64,7 @@ from repro.core.allocation import ThreadAllocation
 from repro.core.delta import DeltaSearch
 from repro.core.model import NumaPerformanceModel
 from repro.core.optimizer import ExhaustiveSearch
+from repro.core.policies import EvenSharePolicy
 from repro.core.spec import AppSpec
 from repro.errors import ServiceError
 from repro.machine.topology import MachineTopology
@@ -739,17 +740,8 @@ class AllocationService:
         prediction for transparency, but it did not steer the choice.
         """
         machine = self.config.machine
-        names = [s.name for s in specs]
-        counts = [[0] * machine.num_nodes for _ in names]
-        for node_index, node in enumerate(machine.nodes):
-            cores = len(node.cores)
-            base, extra = divmod(cores, len(names))
-            for app_index in range(len(names)):
-                counts[app_index][node_index] = base + (
-                    1 if app_index < extra else 0
-                )
-        allocation = ThreadAllocation(
-            app_names=tuple(names), counts=counts
+        allocation = EvenSharePolicy(distribute_leftover=True).allocate(
+            machine, specs
         )
         prediction = self.model.predict(machine, specs, allocation)
         return (
@@ -757,7 +749,7 @@ class AllocationService:
                 name: tuple(
                     int(x) for x in allocation.threads_of(name)
                 )
-                for name in names
+                for name in allocation.app_names
             },
             prediction.total_gflops,
         )
