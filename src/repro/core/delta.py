@@ -445,8 +445,9 @@ class DeltaSearch(_SearchBase):
         returns — so after an audit the delta answer is identical to
         the oracle's, ties included.  Like that search, the audit names
         its batch by the symmetric tensor's key, so its winner is
-        cached as one whole-space entry; on a miss the rows this
-        search's climb just scored still count as cache hits.
+        cached as one whole-space entry.  That lookup is the only one
+        the cache counts: a hit or a miss adds the space's row count,
+        and the rows the climb scored before it count as neither.
         """
         tensor = space.symmetric_tensor()
         winner = tensor[
