@@ -31,6 +31,14 @@ def report():
     return run_bench(smoke=True, annealing_steps=50)
 
 
+def _exit_code(argv):
+    """``main``'s exit status, whether returned or raised by argparse."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 class TestRunBench:
     def test_schema_and_ops(self, report):
         assert report["schema"] == "repro-bench/1"
@@ -97,7 +105,7 @@ class TestRunBench:
         # its winner, less work than a delta re-optimization, so
         # vs_full_warm sits below 1: check it makes no kernel call.
         machine, apps = delta_workload()
-        search = ExhaustiveSearch(NumaPerformanceModel(workers=0))
+        search = ExhaustiveSearch(NumaPerformanceModel())
         cold = search.search(machine, apps)
         with mock.patch.object(
             model_module,
@@ -252,6 +260,12 @@ class TestBenchCli:
         )
         assert code == 2
         assert "--workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "option", [["--min-parallel-speedup", "1"]], ids=lambda o: o[0]
+    )
+    def test_pool_options_are_refused(self, option):
+        assert _exit_code(["bench", "--smoke", *option]) == 2
 
     def test_committed_baseline_is_current_schema(self):
         with open("BENCH_model.json", encoding="utf-8") as fh:

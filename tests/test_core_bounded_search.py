@@ -175,14 +175,14 @@ class TestBoundedSearchIsExact:
         key = space.symmetric_key(require_full=require_full)
         want = unpruned_first_argmax(machine, apps, tensor, rule)
 
-        model = NumaPerformanceModel(rule, workers=0)
+        model = NumaPerformanceModel(rule)
         evaluator = FastEvaluator.create(model, machine, apps, total_gflops)
         best, scored, pruned = evaluator.best_row(tensor, key)
         assert best == want
         assert scored + pruned == len(tensor)
 
         result = ExhaustiveSearch(
-            NumaPerformanceModel(rule, workers=0, cache_size=0),
+            NumaPerformanceModel(rule, cache_size=0),
             require_full=require_full,
         ).search(machine, apps)
         assert np.array_equal(result.allocation.counts, tensor[want])
@@ -192,11 +192,11 @@ class TestBoundedSearchIsExact:
             # The scalar evaluator scores every row with the reference
             # model: its first maximum, from an independent enumeration.
             scalar = ExhaustiveSearch(
-                NumaPerformanceModel(rule, workers=0),
+                NumaPerformanceModel(rule),
                 require_full=require_full,
                 use_fast=False,
             ).search(machine, apps)
-            reference = NumaPerformanceModel(rule, workers=0)
+            reference = NumaPerformanceModel(rule)
             scores = [
                 reference.predict(machine, apps, allocation).total_gflops
                 for allocation in space.symmetric_allocations(
@@ -243,7 +243,7 @@ class TestBoundedSearchIsExact:
             batched_app_gflops(tables, tensor, rule), apps
         )
         evaluator = FastEvaluator.create(
-            NumaPerformanceModel(rule, workers=0), machine, apps, total_gflops
+            NumaPerformanceModel(rule), machine, apps, total_gflops
         )
         ceiling = evaluator._peak_ceiling(tables, tensor, rows)
         assert np.all(ceiling >= score[rows])
@@ -262,7 +262,7 @@ class TestBoundedSearchIsExact:
         tensor, key = space.symmetric_tensor(), space.symmetric_key()
         assert unpruned_first_argmax(machine, apps, tensor, rule) == 0
         evaluator = FastEvaluator.create(
-            NumaPerformanceModel(rule, workers=0), machine, apps, total_gflops
+            NumaPerformanceModel(rule), machine, apps, total_gflops
         )
         assert evaluator.best_row(tensor, key) == (0, 64, len(tensor) - 64)
 
@@ -277,7 +277,7 @@ class TestBoundedSearchIsExact:
         for _ in range(4):
             apps = service_mix(rng, n_apps)
             evaluator = FastEvaluator.create(
-                NumaPerformanceModel(rule, workers=0),
+                NumaPerformanceModel(rule),
                 machine,
                 apps,
                 total_gflops,
@@ -293,7 +293,7 @@ class TestObservability:
     def test_span_counts_scored_rows_and_the_counter_pruned_ones(self):
         machine = model_machine()
         apps = service_mix(random.Random(8), 8)
-        search = ExhaustiveSearch(NumaPerformanceModel(workers=0))
+        search = ExhaustiveSearch(NumaPerformanceModel())
         with capture() as cap:
             first = search.search(machine, apps)
             again = search.search(machine, apps)
@@ -318,12 +318,12 @@ class TestObservability:
         apps = service_mix(random.Random(8), 8)
         with capture() as cap:
             result = ExhaustiveSearch(
-                NumaPerformanceModel(workers=0), total
+                NumaPerformanceModel(), total
             ).search(machine, apps)
         spans = cap.tracer.filter(name="optimizer/exhaustive")
         assert spans[0].attrs["scored"] == result.evaluations == 6435
         assert cap.metrics.counter("optimizer/bound_pruned").value == 0
-        bounded = ExhaustiveSearch(NumaPerformanceModel(workers=0)).search(
+        bounded = ExhaustiveSearch(NumaPerformanceModel()).search(
             machine, apps
         )
         assert np.array_equal(
