@@ -25,12 +25,7 @@ Commands
     committed baseline), ``--smoke`` is the quick CI mode, and
     ``--min-speedup`` / ``--max-delta-ms`` gate the exit code on the
     exhaustive-search speedup (default 5x) and the steady-state
-    incremental re-optimization latency (default 1 ms).  ``--workers
-    N`` adds the process-pool section (serial vs 2/4/... workers on
-    the ten-app space, byte-identity always hard-gated);
-    ``--min-parallel-speedup`` additionally gates the N-worker
-    exhaustive speedup — on hosts with >= 2 effective CPUs only, since
-    a single-core container cannot run two workers at once.
+    incremental re-optimization latency (default 1 ms).
 ``check [paths]``
     Run the project's static-analysis suite (:mod:`repro.lint`): the
     per-file AST rules and the whole-program rules (call graph, async
@@ -162,22 +157,6 @@ def main(argv: list[str] | None = None) -> int:
         help="exit 1 unless one steady-state delta re-optimization stays "
         "under this many milliseconds (default 1.0; 0 disables the gate)",
     )
-    benchp.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="also benchmark the process-parallel scoring pool at "
-        "2/4/... workers up to N (adds the 'parallel' report section)",
-    )
-    benchp.add_argument(
-        "--min-parallel-speedup",
-        type=float,
-        default=0.0,
-        help="exit 1 unless the N-worker exhaustive search beats serial "
-        "by this factor (needs --workers; enforced only on hosts with "
-        ">= 2 effective CPUs; default 0 disables the gate)",
-    )
     from repro.lint.cli import add_check_parser
 
     add_check_parser(sub)
@@ -246,15 +225,6 @@ def main(argv: list[str] | None = None) -> int:
         metavar="DIR",
         help="write-ahead-journal directory; replays journal into it, "
         "the daemon additionally recovers from it on startup",
-    )
-    servep.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="score big candidate batches through N worker processes "
-        "(repro.core.parallel; default 0 = serial, allocations are "
-        "byte-identical either way)",
     )
     servep.add_argument(
         "--tcp",
@@ -326,7 +296,6 @@ def _run_serve(args) -> int:
             seed=args.seed,
             mode=args.mode,
             journal=args.journal,
-            workers=args.workers,
         )
         print(report.to_json() if args.json else report.format())
         return 0 if report.passed else 1
@@ -349,7 +318,6 @@ def _run_serve(args) -> int:
         ServiceConfig(
             machine=_PRESETS[args.machine](),
             mode=args.mode,
-            workers=args.workers,
         ),
         GatewayConfig(
             # One host for both network listeners: --tcp's, else --http's.
@@ -398,13 +366,7 @@ def _run_bench(args) -> int:
 
     from repro.analysis.bench import format_report, run_bench, write_report
 
-    if args.min_parallel_speedup > 0 and args.workers is None:
-        print(
-            "--min-parallel-speedup needs --workers N",
-            file=sys.stderr,
-        )
-        return 2
-    report = run_bench(smoke=args.smoke, workers=args.workers)
+    report = run_bench(smoke=args.smoke)
     if args.json:
         print(json.dumps(report, indent=2))
     else:
@@ -426,35 +388,6 @@ def _run_bench(args) -> int:
             f"steady-state delta re-optimization {delta_ms:.4f} ms "
             f"exceeds the {args.max_delta_ms:.1f} ms gate"
         )
-    parallel = report.get("parallel")
-    if parallel is not None:
-        # Byte-identity is a correctness property, not a perf number:
-        # it is hard-gated whenever the parallel section ran at all.
-        if not parallel["identical"]:
-            failures.append(
-                "a parallel search result differed from the "
-                "serial answer (byte-identity contract broken)"
-            )
-        if args.min_parallel_speedup > 0:
-            cpus = parallel["effective_cpus"]
-            if cpus < 2:
-                print(
-                    f"note: skipping the {args.min_parallel_speedup:.1f}x "
-                    f"parallel-speedup gate — this host exposes "
-                    f"{cpus} effective CPU(s), so a wall-clock speedup "
-                    f"is physically unattainable (byte-identity was "
-                    f"still enforced)",
-                    file=sys.stderr,
-                )
-            else:
-                top = max(parallel["worker_counts"])
-                pspeed = parallel["speedups"][f"exhaustive_w{top}"]
-                if pspeed < args.min_parallel_speedup:
-                    failures.append(
-                        f"{top}-worker exhaustive speedup "
-                        f"{pspeed:.2f}x is below the "
-                        f"{args.min_parallel_speedup:.1f}x gate"
-                    )
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     return 1 if failures else 0

@@ -17,16 +17,6 @@ paper's model machine and a four-application workload:
   with a cold and a warm score cache versus the incremental
   :class:`~repro.core.delta.DeltaSearch` warm-started from the previous
   allocation across a leave/rejoin cycle.
-* ``parallel/*`` (``--workers N``) — the same ten-application space
-  scored serially vs through the :mod:`repro.core.parallel` process
-  pool at 2/4/... workers: exhaustive (where sharding the 24k-candidate
-  tensor helps) and hill-climb with the batch threshold forced to 1
-  (where per-round pool trips *hurt* — kept in the report as the honest
-  "when workers hurt" number).  Every parallel run is checked
-  byte-identical to the serial answer, and the section records
-  ``effective_cpus`` because speedup is physically bounded by the cores
-  this process may use; the ``--min-parallel-speedup`` gate enforces
-  only on hosts with at least two.
 
 The report is a JSON document mapping each op to its measured
 ``evals_per_sec`` (plus ``seconds`` and ``evaluations``), with a
@@ -122,14 +112,7 @@ def _best_seconds(fn: Callable[[], object], repeats: int) -> float:
 
 
 def effective_cpus() -> int:
-    """CPUs this process may actually run on (affinity-aware).
-
-    The honest upper bound on any parallel speedup measured here: a
-    single-core container can exercise every pool code path but can
-    never run two workers at once, so its measured "speedups" are pure
-    overhead.  The ``--min-parallel-speedup`` gate reads this to know
-    when a wall-clock expectation is physically meaningful.
-    """
+    """CPUs this process may actually run on (affinity-aware)."""
     try:
         return len(os.sched_getaffinity(0))
     except (AttributeError, OSError):
@@ -166,119 +149,16 @@ def _cpu_model() -> str:
     return platform.processor() or platform.machine() or "unknown"
 
 
-def _parallel_worker_counts(workers: int) -> list[int]:
-    """The worker ladder benchmarked for ``--workers N``.
-
-    The standard 2/4 rungs up to ``N``, plus ``N`` itself when it is
-    not one of them — so ``--workers 4`` measures [2, 4] (the committed
-    baseline shape) and ``--workers 3`` measures [2, 3].
-    """
-    counts = [w for w in (2, 4) if w <= workers]
-    if workers >= 1 and workers not in counts:
-        counts.append(workers)
-    return counts
-
-
-def _run_parallel_bench(repeats: int, workers: int) -> dict:
-    """The ``parallel`` report section: serial vs pooled searches.
-
-    Exhaustive and hill-climb on the ten-app 24,310-candidate space.
-    Models run with the score cache off so every repetition re-scores
-    the space (the pool sits on the cache-miss path; a warm cache would
-    time one dict lookup).  Hill-climb forces ``parallel_min_batch=1`` —
-    its neighbourhood rounds are a few hundred candidates, far under
-    the default threshold, so this is the deliberate worst case that
-    documents when workers hurt.  Byte-identity of every parallel
-    answer against the serial one is recorded per run and hard-gated
-    by the CLI whenever this section exists.
-    """
-    from repro.core import parallel as par
-
-    machine, apps = delta_workload()
-    counts_list = _parallel_worker_counts(workers)
-    serial_model = NumaPerformanceModel(workers=0, cache_size=0)
-    serial_ops: dict[str, dict] = {}
-    baselines: dict[str, object] = {}
-    for op, make in (
-        ("exhaustive", lambda m: ExhaustiveSearch(m)),
-        ("hillclimb", lambda m: HillClimbSearch(m)),
-    ):
-        search = make(serial_model)
-        result = search.search(machine, apps)  # warm-up (tables)
-        seconds = _best_seconds(
-            lambda s=search: s.search(machine, apps), repeats
-        )
-        baselines[op] = result
-        serial_ops[op] = {
-            "seconds": round(seconds, 6),
-            "evaluations": result.evaluations,
-        }
-
-    per_workers: dict[str, dict] = {}
-    speedups: dict[str, float] = {}
-    all_identical = True
-    for w in counts_list:
-        model = NumaPerformanceModel(
-            workers=w, parallel_min_batch=1, cache_size=0
-        )
-        entry: dict[str, dict] = {}
-        for op, make in (
-            ("exhaustive", lambda m: ExhaustiveSearch(m)),
-            ("hillclimb", lambda m: HillClimbSearch(m)),
-        ):
-            search = make(model)
-            result = search.search(machine, apps)  # warm-up (spawns pool)
-            base = baselines[op]
-            identical = (
-                result.score == base.score
-                and result.allocation.counts.tobytes()
-                == base.allocation.counts.tobytes()
-            )
-            all_identical = all_identical and identical
-            seconds = _best_seconds(
-                lambda s=search: s.search(machine, apps), repeats
-            )
-            speedup = round(serial_ops[op]["seconds"] / seconds, 2)
-            entry[op] = {
-                "seconds": round(seconds, 6),
-                "speedup": speedup,
-                "identical": identical,
-            }
-            speedups[f"{op}_w{w}"] = speedup
-        stats = par.pool_stats().get(w)
-        entry["pool"] = {
-            "spawned": stats is not None,
-            "calls": stats["calls"] if stats else 0,
-        }
-        per_workers[str(w)] = entry
-        par.release_pool(w)
-
-    return {
-        "apps": len(apps),
-        "candidates": CandidateSpace(machine, len(apps)).symmetric_size(),
-        "effective_cpus": effective_cpus(),
-        "shared_memory": par.shared_memory_available(),
-        "worker_counts": counts_list,
-        "serial": serial_ops,
-        "workers": per_workers,
-        "speedups": speedups,
-        "identical": all_identical,
-    }
-
-
 def run_bench(
     *,
     smoke: bool = False,
     annealing_steps: int | None = None,
-    workers: int | None = None,
 ) -> dict:
     """Run the benchmark suite; returns the report as a plain dict.
 
     ``smoke`` shrinks repeat counts and the annealing schedule so CI can
     afford the run; the measured speedups are the same ballpark either
-    way because every op scales down together.  ``workers`` (>= 1) adds
-    the ``parallel`` section — serial vs process-pool searches on the
-    ten-app space at :func:`_parallel_worker_counts` rungs.
+    way because every op scales down together.
     """
     repeats = 2 if smoke else 5
     steps = annealing_steps or (200 if smoke else 2000)
@@ -460,8 +340,6 @@ def run_bench(
         "speedups": speedups,
         "delta": delta_section,
     }
-    if workers is not None and workers >= 1:
-        report["parallel"] = _run_parallel_bench(repeats, workers)
     return report
 
 
@@ -503,36 +381,6 @@ def format_report(report: dict) -> str:
             f"({delta['speedups']['vs_full_cold']:.1f}x vs cold full "
             f"re-search, {delta['speedups']['vs_full_warm']:.1f}x vs warm)"
         )
-    parallel = report.get("parallel")
-    if parallel:
-        lines += [
-            "",
-            f"process-parallel search ({parallel['apps']} apps, "
-            f"{parallel['candidates']:,} symmetric candidates, "
-            f"{parallel['effective_cpus']} effective CPUs, shared memory "
-            f"{'available' if parallel['shared_memory'] else 'UNAVAILABLE'})",
-            f"{'op':28s} {'seconds':>10s} {'speedup':>8s} {'identical':>10s}",
-        ]
-        for op, stats in parallel["serial"].items():
-            lines.append(
-                f"{op + ' (serial)':28s} {stats['seconds']:>10.4f} "
-                f"{'-':>8s} {'-':>10s}"
-            )
-        for w, entry in parallel["workers"].items():
-            for op in ("exhaustive", "hillclimb"):
-                stats = entry[op]
-                lines.append(
-                    f"{op + f' ({w} workers)':28s} "
-                    f"{stats['seconds']:>10.4f} "
-                    f"{stats['speedup']:>7.2f}x "
-                    f"{'yes' if stats['identical'] else 'NO':>10s}"
-                )
-        if parallel["effective_cpus"] < 2:
-            lines.append(
-                "note: this host exposes a single CPU to the process — "
-                "pooled wall times measure pure coordination overhead; "
-                "byte-identity is still fully checked"
-            )
     return "\n".join(lines)
 
 

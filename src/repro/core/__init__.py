@@ -13,8 +13,6 @@ Public surface:
 * :mod:`~repro.core.candidates` and :mod:`~repro.core.delta` — the
   shared candidate-space layer (every enumeration the searches walk)
   and the incremental (O(delta)) churn-time re-optimizer built on it;
-* :mod:`~repro.core.parallel` — the process-parallel scoring pool that
-  shards big candidate batches over shared-memory tensors;
 * :mod:`~repro.core.arbitration` — static multi-runtime core negotiation;
 * :func:`~repro.core.worked.worked_example` — Table I/II style row-by-row
   breakdowns.
@@ -74,15 +72,6 @@ from repro.core.optimizer import (
     total_gflops,
     weighted_gflops,
 )
-from repro.core.parallel import (
-    WorkerPool,
-    chunk_bounds,
-    default_workers,
-    get_pool,
-    parallel_app_gflops,
-    release_pool,
-    shutdown_pools,
-)
 from repro.core.policies import (
     AllocationPolicy,
     EvenSharePolicy,
@@ -114,13 +103,6 @@ __all__ = [
     "batched_app_gflops",
     "check_oversubscription",
     "workload_fingerprint",
-    "WorkerPool",
-    "chunk_bounds",
-    "default_workers",
-    "get_pool",
-    "parallel_app_gflops",
-    "release_pool",
-    "shutdown_pools",
     "NumaPerformanceModel",
     "Prediction",
     "AppResult",

@@ -194,16 +194,10 @@ class NumaPerformanceModel:
         workload's exhaustive search is then one lookup; pass ``0`` to
         disable the cache.
     workers:
-        Process count for big score batches (:mod:`repro.core.
-        parallel`).  ``None`` reads the ``REPRO_WORKERS`` environment
-        variable (unset means serial); ``0`` forces serial scoring.
-        Results are byte-identical for every worker count.
-    parallel_min_batch:
-        Smallest batch routed through the pool (default
-        :data:`repro.core.parallel.DEFAULT_MIN_BATCH`); smaller batches
-        — hill-climb neighbourhood rounds, single predictions — stay
-        serial because the pool round trip would cost more than it
-        saves.
+        Must be ``0``: the model scores every batch in-process, and any
+        other value raises :class:`TypeError`.  The keyword is still
+        accepted because the serve-path benchmark's oracle
+        (``perfbench/oracle.py``) passes ``workers=0``.
     """
 
     #: How many (machine, apps) workloads keep precomputed tables alive.
@@ -214,21 +208,15 @@ class NumaPerformanceModel:
         remainder_rule: RemainderRule = RemainderRule.PROPORTIONAL,
         *,
         cache_size: int = 65536,
-        workers: int | None = None,
-        parallel_min_batch: int | None = None,
+        workers: int = 0,
     ) -> None:
-        from repro.core import parallel as _parallel
-
+        if workers != 0:
+            raise TypeError(
+                f"the model scores in-process only; workers must be 0, "
+                f"got {workers!r}"
+            )
         self.remainder_rule = remainder_rule
         self.cache = ScoreCache(cache_size) if cache_size > 0 else None
-        self.workers = (
-            _parallel.default_workers() if workers is None else max(workers, 0)
-        )
-        self.parallel_min_batch = (
-            _parallel.DEFAULT_MIN_BATCH
-            if parallel_min_batch is None
-            else max(parallel_min_batch, 1)
-        )
         self._tables: dict[tuple, ModelTables] = {}
         self._obs_predictions = CounterHandle("model/predictions")
         self._obs_predict_seconds = HistogramHandle("model/predict_seconds")
@@ -237,42 +225,17 @@ class NumaPerformanceModel:
         self._obs_cache_misses = CounterHandle("model/cache_misses")
 
     # ------------------------------------------------------------------
-    def set_workers(
-        self, workers: int, *, min_batch: int | None = None
-    ) -> None:
-        """Route big score batches through ``workers`` processes.
-
-        ``0`` restores fully serial scoring.  Batches smaller than
-        ``min_batch`` (default: keep the current threshold) always stay
-        serial — a pool round trip only amortises over large candidate
-        spaces.  The pool itself is shared process-wide
-        (:func:`repro.core.parallel.get_pool`) and spawns lazily on the
-        first qualifying batch.
-        """
-        self.workers = max(workers, 0)
-        if min_batch is not None:
-            self.parallel_min_batch = max(min_batch, 1)
-
     def _batch_gflops(
         self, tables: ModelTables, counts: np.ndarray
     ) -> np.ndarray:
-        """``batched_app_gflops`` with transparent process parallelism.
+        """Per-app GFLOPS of a counts batch: the serial kernel, in-process.
 
-        Small batches (and ``workers == 0``) run the serial kernel
-        in-process; qualifying batches go through the shared worker
-        pool, falling back to serial — identically, byte for byte — on
-        any pool failure (:func:`repro.core.parallel.
-        parallel_app_gflops` returns ``None`` after bumping
-        ``parallel/fallbacks``).
+        The kernel is called through this module's
+        ``batched_app_gflops`` binding, so a wrapper installed there
+        sees every batch the model scores.  No search produces a batch
+        large enough to pay for a process round trip (``docs/
+        PERFORMANCE.md``, "Why scoring is serial").
         """
-        if self.workers > 1 and len(counts) >= self.parallel_min_batch:
-            from repro.core.parallel import parallel_app_gflops
-
-            gflops = parallel_app_gflops(
-                tables, counts, self.remainder_rule, self.workers
-            )
-            if gflops is not None:
-                return gflops
         return batched_app_gflops(tables, counts, self.remainder_rule)
 
     # ------------------------------------------------------------------

@@ -1,14 +1,12 @@
 """Process-parallel candidate scoring over shared-memory score tensors.
 
-The batched fast path (:mod:`repro.core.fasteval`) made one model
-evaluation cheap; the incremental searcher (:mod:`repro.core.delta`)
-made steady-state churn O(delta).  What remains expensive are the
-*full* searches — cold starts, asymmetric machines, and high-churn
-fall-backs still score the whole candidate space (24,310 candidates
-for ten apps on the model machine) on a single core.  This module is
-that last raw-speed lever: a persistent pool of worker *processes*
-that shards candidate scoring by range, so a full-space evaluation
-drops by the core count.
+Nothing in the program calls this module: the model scores every batch
+with the serial kernel in-process (``docs/PERFORMANCE.md``, "Why
+scoring is serial").  It stays only because the serve-path benchmark
+imports it: ``perfbench/layers.py`` wraps :func:`parallel_app_gflops`
+in traced runs, and ``BENCHMARK.json`` lists the ``parallel.*``
+metrics read from that wrapper.  Both change only with the benchmark,
+and the module goes when they drop it.
 
 Design
 ------
@@ -22,37 +20,30 @@ Design
   candidates into at most ``workers`` contiguous ranges whose sizes
   differ by at most one — a pure function of ``(B, workers)``.  Every
   model operation is row-independent, so ``batched_app_gflops`` over a
-  slice is byte-identical to the same rows of a whole-batch call, and
-  the parent's single ``argmax`` over the merged score vector resolves
-  ties to the lowest enumeration index exactly like the serial path.
+  slice is byte-identical to the same rows of a whole-batch call.
   Results are **byte-identical for any worker count** — pinned by
-  ``tests/test_core_parallel.py`` for workers in {0, 1, 2, 4} under
-  both ``fork`` and ``spawn`` start methods.
-* **Persistent, lazily spawned pool.**  Spawning costs hundreds of
-  milliseconds; a search round trip must not pay it.  Pools live in a
-  process-wide registry (:func:`get_pool`), spawn on first use, and
-  are reused across searches and services.  :func:`shutdown_pools`
-  (also registered ``atexit``) tears them down; the allocation
-  service's drain/crash paths release theirs, and a recovered service
-  simply respawns on its next big batch.
+  ``tests/test_core_parallel.py`` for workers in {1, 2, 4} under both
+  ``fork`` and ``spawn`` start methods.
+* **Persistent, lazily spawned pool.**  Pools live in a process-wide
+  registry (:func:`get_pool`), spawn on first use, and are reused
+  across calls.  :func:`shutdown_pools` (also registered ``atexit``)
+  tears them down.
 * **Graceful degradation.**  No ``/dev/shm`` (some containers), a
-  failed spawn, a crashed worker, or a timeout never raises into a
-  search: :func:`parallel_app_gflops` returns ``None``, bumps the
-  ``parallel/fallbacks`` counter, and the caller takes the serial
-  fast path (:class:`~repro.errors.ParallelError` stays internal).
+  failed spawn, a crashed worker, or a timeout never raises:
+  :func:`parallel_app_gflops` returns ``None`` and bumps the
+  ``parallel/fallbacks`` counter (:class:`~repro.errors.ParallelError`
+  stays internal).
 
 Observability: one ``parallel/search`` span per pooled scoring call
 (attrs ``workers``, ``chunks``, ``evaluations``), the
 ``parallel/workers`` gauge, ``parallel/chunks`` + ``parallel/
 fallbacks`` counters, and a ``parallel/chunk_ms`` histogram of
-worker-side chunk wall times.  See ``docs/PERFORMANCE.md`` ("Process
-parallelism") for when workers help and when they hurt.
+worker-side chunk wall times.
 """
 
 from __future__ import annotations
 
 import atexit
-import os
 import queue as queue_mod
 import time
 import traceback
@@ -69,10 +60,8 @@ from repro.errors import ParallelError
 from repro.obs import OBS, CounterHandle, GaugeHandle, HistogramHandle
 
 __all__ = [
-    "DEFAULT_MIN_BATCH",
     "WorkerPool",
     "chunk_bounds",
-    "default_workers",
     "get_pool",
     "parallel_app_gflops",
     "pool_stats",
@@ -80,15 +69,6 @@ __all__ = [
     "shared_memory_available",
     "shutdown_pools",
 ]
-
-#: Batches smaller than this score serially by default: a pool round
-#: trip costs on the order of a millisecond, which only amortises over
-#: large candidate spaces (hill-climb neighbourhoods stay serial, the
-#: 24k-candidate exhaustive tensor goes parallel).
-DEFAULT_MIN_BATCH = 1024
-
-#: Environment variable read by :func:`default_workers`.
-WORKERS_ENV = "REPRO_WORKERS"
 
 # Hot-path metric handles (PERF001: hoisted out of the scoring loop).
 _WORKERS_GAUGE = GaugeHandle("parallel/workers")
@@ -106,24 +86,6 @@ _TABLE_FIELDS = (
     "node_capacity",
     "cores_per_node",
 )
-
-
-def default_workers() -> int:
-    """Worker count from the ``REPRO_WORKERS`` environment variable.
-
-    Unset, empty, non-numeric, or negative values mean ``0`` (serial).
-    This is the default every :class:`~repro.core.model.
-    NumaPerformanceModel` starts from, which is how one environment
-    variable turns the whole test/serve stack process-parallel.
-    """
-    raw = os.environ.get(WORKERS_ENV, "").strip()
-    if not raw:
-        return 0
-    try:
-        workers = int(raw)
-    except ValueError:
-        return 0
-    return max(workers, 0)
 
 
 def chunk_bounds(n: int, workers: int) -> list[tuple[int, int]]:
@@ -605,9 +567,7 @@ def get_pool(
 
     ``None`` means parallel scoring is not possible here (``workers <=
     0`` or no shared memory) — callers take the serial path.  A closed
-    or crashed pool is transparently replaced by a fresh one, which is
-    what "the pool restarts cleanly after recovery" means in practice:
-    drain closes it, the next big batch respawns it.
+    or crashed pool is transparently replaced by a fresh one.
     """
     if workers <= 0 or not shared_memory_available():
         return None
@@ -626,7 +586,7 @@ def release_pool(workers: int) -> None:
 
 
 def shutdown_pools() -> None:
-    """Close every registry pool (service drain, interpreter exit)."""
+    """Close every registry pool (also run at interpreter exit)."""
     for workers in list(_POOLS):
         release_pool(workers)
 
@@ -656,10 +616,10 @@ def parallel_app_gflops(
 ) -> np.ndarray | None:
     """Pooled :func:`~repro.core.fasteval.batched_app_gflops`, or ``None``.
 
-    The model's entry point: score ``counts`` through the shared pool
-    for ``workers``; any pool-level failure (no shared memory, spawn
-    failure, worker crash, timeout) bumps ``parallel/fallbacks`` and
-    returns ``None`` so the caller can run the serial kernel instead.
+    Score ``counts`` through the shared pool for ``workers``; any
+    pool-level failure (no shared memory, spawn failure, worker crash,
+    timeout) bumps ``parallel/fallbacks`` and returns ``None`` so the
+    caller can run the serial kernel instead.
     Model-level errors (oversubscription) raise exactly as the serial
     path would.
     """

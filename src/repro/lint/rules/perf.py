@@ -19,8 +19,8 @@ inside event-handler-shaped functions that demonstrably track a
 previous allocation (so a warm start was available and ignored);
 deliberate full re-searches get ``# repro: noqa[PERF002]``.
 
-PERF003 protects the process-parallel scoring path
-(:mod:`repro.core.parallel`): spawning a worker pool costs process
+PERF003 guards worker pools, the standard library's and
+:mod:`repro.core.parallel`'s: spawning a worker pool costs process
 forks, shared-memory setup and (under ``spawn``) a full interpreter
 boot — tens to hundreds of milliseconds, against per-batch scoring
 work measured in single-digit milliseconds.  A ``Pool`` /
@@ -314,8 +314,7 @@ class PoolConstructionInLoop(Rule):
     re-pay process spawn plus shared-memory setup on every round.
     Pools must be created once and reused:
     :func:`repro.core.parallel.get_pool` keeps a process-wide registry
-    keyed by worker count, and the searchers route through it via
-    ``NumaPerformanceModel.set_workers``.
+    keyed by worker count.
 
     A warning, not an error: a pool built in a loop that runs once per
     process lifetime (a benchmark sweeping worker counts, a test

@@ -573,18 +573,15 @@ class Replay:
         seed: int = 0,
         mode: str = "full",
         journal: str | None = None,
-        workers: int = 0,
     ) -> ChurnReport:
         """Replay the scenario once; see :func:`run_replay`."""
         if journal is None and self.journaled:
             with tempfile.TemporaryDirectory(prefix="repro-journal-") as tmp:
-                return self.run(seed, mode, tmp, workers)
+                return self.run(seed, mode, tmp)
         driver = ReplayDriver(
             ServiceConfig(
                 machine=model_machine(),
                 mode=mode,
-                workers=workers,
-                parallel_min_batch=1 if workers > 0 else None,
                 debounce=self.debounce,
                 report_interval=_REPORT_INTERVAL,
                 **self.knobs,
@@ -760,70 +757,28 @@ def _stale_check(driver, events) -> dict[str, bool]:
     }
 
 
-def _pool_workers(driver: ReplayDriver) -> int:
-    """The scoring pool's size; 0 when the replay scores serially
-    (no workers, or no shared memory for the pool to use)."""
-    workers = driver.config.workers or 0
-    if workers:
-        from repro.core.parallel import shared_memory_available
-
-        if not shared_memory_available():
-            return 0
-    return workers
-
-
-def _pool_live(workers: int) -> bool:
-    from repro.core.parallel import pool_stats
-
-    stats = pool_stats().get(workers)
-    return stats is not None and stats["alive"]
-
-
 def _restart_setup(driver: ReplayDriver, seed: int, checks: dict) -> None:
-    """Crash at t=0.22, tear the journal tail, recover.
-
-    A pooled replay also checks the scoring pool's lifecycle across the
-    crash: :meth:`~repro.serve.service.AllocationService.crash` releases
-    the pool, and the recovered service's first re-optimization
-    respawns a fresh one.
-    """
-    workers = _pool_workers(driver)
+    """Crash at t=0.22, tear the journal tail, recover."""
 
     def crash_recover() -> None:
-        if workers:
-            from repro.core.parallel import pool_stats
-
-            checks["scoring pool live before the crash"] = _pool_live(
-                workers
-            )
         pre, post = driver.crash_and_recover(tear_tail=True)
         recovery = driver.service.last_recovery
         checks["recovered state dump == pre-crash dump"] = pre == post
         checks["torn tail truncated at the last valid record"] = (
             recovery is not None and recovery.truncated_tail
         )
-        if workers:
-            checks["crash released the scoring pool"] = (
-                workers not in pool_stats()
-            )
 
     driver.sim.schedule_at(0.22, crash_recover)
 
 
 def _restart_check(driver, events) -> dict[str, bool]:
     service = driver.service
-    verdict = {
+    return {
         "exactly one recovery": service.recoveries == 1,
         "journal written": (
             service.journal_records + driver.journal_records_prior > 0
         ),
     }
-    workers = _pool_workers(driver)
-    if workers:
-        verdict["a fresh scoring pool live after recovery"] = _pool_live(
-            workers
-        )
-    return verdict
 
 
 def _crash_setup(driver: ReplayDriver, seed: int, checks: dict) -> None:
@@ -1158,7 +1113,6 @@ def run_replay(
     seed: int = 0,
     mode: str = "full",
     journal: str | None = None,
-    workers: int = 0,
 ) -> ChurnReport:
     """Run one service scenario by name.
 
@@ -1169,17 +1123,11 @@ def run_replay(
     churn.  ``journal`` (a directory path) runs the replay with the
     write-ahead journal enabled; ``serve-crash-restart`` and
     ``serve-restart`` journal into a temporary directory, removed on
-    return, when none is given.  ``workers`` routes the service's
-    scoring through the process pool (:mod:`repro.core.parallel`) with
-    a batch threshold of 1, so the same oracle checks also prove worker
-    byte-identity under churn (``serve-crash-restart`` additionally
-    asserts the pool restarts cleanly after recovery).
+    return, when none is given.
     """
     if name not in SERVE_SCENARIOS:
         raise ServiceError(
             f"unknown serve scenario '{name}' "
             f"(choose from {sorted(SERVE_SCENARIOS)})"
         )
-    return SERVE_SCENARIOS[name].run(
-        seed, mode=mode, journal=journal, workers=workers
-    )
+    return SERVE_SCENARIOS[name].run(seed, mode=mode, journal=journal)

@@ -149,19 +149,6 @@ class ServiceConfig:
         are coalesced — acknowledged but not folded into the registry.
         ``None`` (default) disables shedding.  ``register`` and
         ``deregister`` are never shed.
-    workers:
-        Process count for big score batches (:mod:`repro.core.
-        parallel`), applied to the service's model.  ``None`` (default)
-        leaves the model's setting alone (which reads the
-        ``REPRO_WORKERS`` environment variable); ``0`` forces serial
-        scoring.  Allocations are byte-identical for every worker
-        count; :meth:`AllocationService.drain` and
-        :meth:`AllocationService.crash` release the pool, and a
-        recovered service lazily respawns it on its next big batch.
-    parallel_min_batch:
-        Smallest batch routed through the worker pool; ``None`` keeps
-        the model's threshold
-        (:data:`repro.core.parallel.DEFAULT_MIN_BATCH`).
     """
 
     machine: MachineTopology
@@ -172,8 +159,6 @@ class ServiceConfig:
     mode: str = "full"
     command_deadline: float | None = None
     shed_report_interval: float | None = None
-    workers: int | None = None
-    parallel_min_batch: int | None = None
 
     def __post_init__(self) -> None:
         if self.debounce <= 0:
@@ -208,15 +193,6 @@ class ServiceConfig:
                     f"({self.staleness_window}); shedding that "
                     f"aggressively would quarantine healthy sessions"
                 )
-        if self.workers is not None and self.workers < 0:
-            raise ServiceError(
-                f"workers must be >= 0, got {self.workers}"
-            )
-        if self.parallel_min_batch is not None and self.parallel_min_batch < 1:
-            raise ServiceError(
-                f"parallel_min_batch must be >= 1, "
-                f"got {self.parallel_min_batch}"
-            )
 
     @property
     def staleness_window(self) -> float:
@@ -267,10 +243,6 @@ class AllocationService:
         self.clock = clock
         self.call_later = call_later
         self.model = model or NumaPerformanceModel()
-        if config.workers is not None:
-            self.model.set_workers(
-                config.workers, min_batch=config.parallel_min_batch
-            )
         self.search = search or ExhaustiveSearch(self.model)
         if self.search.model is not self.model:
             raise ServiceError(
@@ -1004,20 +976,6 @@ class AllocationService:
         self._subscribers.clear()
         if self.journal is not None:
             self.journal.close()
-        self._release_workers()
-
-    def _release_workers(self) -> None:
-        """Shut down this service's scoring pool (drain/crash paths).
-
-        The pool registry is process-wide, so this only matters when the
-        service goes away for good — a recovered service respawns a
-        fresh pool lazily on its next big score batch (asserted by the
-        ``serve-crash-restart`` replay).
-        """
-        if self.model.workers > 0:
-            from repro.core.parallel import release_pool
-
-            release_pool(self.model.workers)
 
     # -- queries / shutdown ---------------------------------------------
 
@@ -1079,6 +1037,5 @@ class AllocationService:
             # drained state instead of replaying the whole history.
             self.journal.compact(self.snapshot_state())
             self.journal.close()
-        self._release_workers()
         if OBS.enabled:
             _SESSIONS.set(0)

@@ -11,8 +11,6 @@ import pytest
 
 from repro.__main__ import main
 from repro.analysis.bench import (
-    _parallel_worker_counts,
-    _run_parallel_bench,
     bench_workload,
     delta_workload,
     effective_cpus,
@@ -142,56 +140,8 @@ class TestRunBench:
     def test_no_parallel_section_without_workers(self, report):
         assert "parallel" not in report
 
-
-class TestParallelBench:
-    @pytest.fixture(scope="class")
-    def parallel(self):
-        return _run_parallel_bench(repeats=1, workers=2)
-
-    def test_worker_count_rungs(self):
-        assert _parallel_worker_counts(1) == [1]
-        assert _parallel_worker_counts(2) == [2]
-        assert _parallel_worker_counts(4) == [2, 4]
-        assert _parallel_worker_counts(3) == [2, 3]
-        assert _parallel_worker_counts(8) == [2, 4, 8]
-
     def test_effective_cpus_positive(self):
         assert effective_cpus() >= 1
-
-    def test_section_schema(self, parallel):
-        assert parallel["apps"] == 10
-        assert parallel["candidates"] == 24310
-        assert parallel["worker_counts"] == [2]
-        assert set(parallel["serial"]) == {"exhaustive", "hillclimb"}
-        entry = parallel["workers"]["2"]
-        assert set(entry) == {"exhaustive", "hillclimb", "pool"}
-        assert set(parallel["speedups"]) == {
-            "exhaustive_w2",
-            "hillclimb_w2",
-        }
-
-    def test_parallel_answers_byte_identical(self, parallel):
-        assert parallel["identical"] is True
-        for op in ("exhaustive", "hillclimb"):
-            assert parallel["workers"]["2"][op]["identical"] is True
-
-    def test_pool_spawned_and_released(self, parallel):
-        from repro.core.parallel import pool_stats
-
-        if parallel["shared_memory"]:
-            assert parallel["workers"]["2"]["pool"]["spawned"] is True
-            assert parallel["workers"]["2"]["pool"]["calls"] > 0
-        # The bench releases its pools; nothing leaks into the registry.
-        assert 2 not in pool_stats()
-
-    def test_format_report_includes_parallel(self, parallel):
-        report = run_bench(smoke=True, annealing_steps=50)
-        report["parallel"] = parallel
-        text = format_report(report)
-        assert "process-parallel search" in text
-        assert "exhaustive (2 workers)" in text
-        if parallel["effective_cpus"] < 2:
-            assert "single CPU" in text
 
 
 class TestBenchCli:
@@ -254,15 +204,10 @@ class TestBenchCli:
         assert len(fails) == 2
         assert "speedup" in fails[0] and "delta" in fails[1]
 
-    def test_parallel_gate_requires_workers(self, capsys):
-        code = main(
-            ["bench", "--smoke", "--min-parallel-speedup", "1.0"]
-        )
-        assert code == 2
-        assert "--workers" in capsys.readouterr().err
-
     @pytest.mark.parametrize(
-        "option", [["--min-parallel-speedup", "1"]], ids=lambda o: o[0]
+        "option",
+        [["--min-parallel-speedup", "1"], ["--workers", "2"]],
+        ids=lambda o: o[0],
     )
     def test_pool_options_are_refused(self, option):
         assert _exit_code(["bench", "--smoke", *option]) == 2
@@ -274,14 +219,3 @@ class TestBenchCli:
         assert baseline["speedups"]["search/exhaustive_fast"] >= 5.0
         assert baseline["delta"]["steady_state_ms"] < 1.0
         assert baseline["delta"]["speedups"]["vs_full_cold"] > 10
-
-    def test_committed_baseline_has_parallel_section(self):
-        with open("BENCH_model.json", encoding="utf-8") as fh:
-            baseline = json.load(fh)
-        parallel = baseline["parallel"]
-        assert parallel["identical"] is True
-        assert 4 in parallel["worker_counts"]
-        assert "exhaustive_w4" in parallel["speedups"]
-        if parallel["effective_cpus"] >= 4:
-            # Only meaningful where the cores existed at record time.
-            assert parallel["speedups"]["exhaustive_w4"] >= 2.0

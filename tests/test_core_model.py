@@ -168,6 +168,12 @@ class TestValidation:
         with pytest.raises(ModelError):
             p.app("ghost")
 
+    def test_no_worker_count(self):
+        # The serve-path benchmark's oracle still passes workers=0.
+        NumaPerformanceModel(workers=0)
+        with pytest.raises(TypeError):
+            NumaPerformanceModel(workers=2)
+
 
 class TestReporting:
     def test_summary_contains_apps(self, model, uma):

@@ -2,11 +2,15 @@
 
 The contract under test is byte-identity: for any worker count and any
 start method, the pooled scoring path must produce exactly the bytes
-the serial kernel produces, and every failure mode must degrade to the
-serial path instead of corrupting or crashing a search.
+the serial kernel produces, and every failure mode must return ``None``
+(the caller's cue to score serially) instead of a corrupt result.
+Nothing in the program scores through the pool; the last test checks
+that the service process does not even import it.
 """
 
 import multiprocessing
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,17 +18,10 @@ import pytest
 from repro.core.candidates import CandidateSpace
 from repro.core.fasteval import ModelTables, batched_app_gflops
 from repro.core.model import NumaPerformanceModel
-from repro.core.optimizer import (
-    ExhaustiveSearch,
-    GreedySearch,
-    HillClimbSearch,
-)
 from repro.core import parallel
 from repro.core.parallel import (
-    DEFAULT_MIN_BATCH,
     WorkerPool,
     chunk_bounds,
-    default_workers,
     get_pool,
     parallel_app_gflops,
     pool_stats,
@@ -99,26 +96,6 @@ class TestChunkBounds:
             chunk_bounds(10, 0)
         with pytest.raises(ParallelError):
             chunk_bounds(10, -2)
-
-
-class TestDefaultWorkers:
-    def test_unset_means_serial(self, monkeypatch):
-        monkeypatch.delenv(parallel.WORKERS_ENV, raising=False)
-        assert default_workers() == 0
-
-    def test_env_sets_count(self, monkeypatch):
-        monkeypatch.setenv(parallel.WORKERS_ENV, "4")
-        assert default_workers() == 4
-
-    @pytest.mark.parametrize("value", ["notanint", "-2", ""])
-    def test_garbage_is_serial(self, monkeypatch, value):
-        monkeypatch.setenv(parallel.WORKERS_ENV, value)
-        assert default_workers() == 0
-
-    def test_model_picks_up_env(self, monkeypatch):
-        monkeypatch.setenv(parallel.WORKERS_ENV, "3")
-        assert NumaPerformanceModel().workers == 3
-        assert NumaPerformanceModel(workers=0).workers == 0
 
 
 class TestKernelParity:
@@ -199,90 +176,6 @@ class TestKernelParity:
             pool.close()
 
 
-class TestSearchDeterminism:
-    @pytest.fixture
-    def serial_results(self, paper_machine, paper_apps):
-        return {
-            name: cls(model=NumaPerformanceModel(workers=0)).search(
-                paper_machine, paper_apps
-            )
-            for name, cls in [
-                ("exhaustive", ExhaustiveSearch),
-                ("greedy", GreedySearch),
-                ("hillclimb", HillClimbSearch),
-            ]
-        }
-
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    @pytest.mark.parametrize(
-        "name,cls",
-        [
-            ("exhaustive", ExhaustiveSearch),
-            ("greedy", GreedySearch),
-            ("hillclimb", HillClimbSearch),
-        ],
-    )
-    def test_searches_byte_identical(
-        self, paper_machine, paper_apps, serial_results, workers, name, cls
-    ):
-        model = NumaPerformanceModel(
-            workers=workers, parallel_min_batch=1
-        )
-        res = cls(model=model).search(paper_machine, paper_apps)
-        serial = serial_results[name]
-        assert res.score == serial.score
-        assert (
-            res.allocation.counts.tobytes()
-            == serial.allocation.counts.tobytes()
-        )
-        assert res.evaluations == serial.evaluations
-
-    @pytest.mark.parametrize("method", START_METHODS)
-    def test_exhaustive_identical_under_both_start_methods(
-        self, paper_machine, paper_apps, serial_results, method
-    ):
-        # Pre-seed the registry so the search routes through a pool
-        # using this start method.
-        assert get_pool(2, start_method=method) is not None
-        model = NumaPerformanceModel(workers=2, parallel_min_batch=1)
-        res = ExhaustiveSearch(model=model).search(
-            paper_machine, paper_apps
-        )
-        serial = serial_results["exhaustive"]
-        assert res.score == serial.score
-        assert (
-            res.allocation.counts.tobytes()
-            == serial.allocation.counts.tobytes()
-        )
-
-    def test_min_batch_keeps_small_rounds_serial(
-        self, paper_machine, paper_apps
-    ):
-        model = NumaPerformanceModel(workers=2)  # default min batch
-        assert model.parallel_min_batch == DEFAULT_MIN_BATCH
-        ExhaustiveSearch(model=model).search(paper_machine, paper_apps)
-        # 165 candidates < DEFAULT_MIN_BATCH: no pool was ever spawned.
-        assert 2 not in pool_stats()
-
-    def test_cache_merges_parallel_rows(self, paper_machine, paper_apps):
-        model = NumaPerformanceModel(workers=2, parallel_min_batch=1)
-        space = CandidateSpace(paper_machine, len(paper_apps))
-        counts = space.symmetric_tensor()
-        first = model.predict_scores(paper_machine, paper_apps, counts)
-        second = model.predict_scores(paper_machine, paper_apps, counts)
-        assert first.tobytes() == second.tobytes()
-        # The winner of the rows the pool scored is cached as one
-        # whole-space entry: the same search again is one hit.
-        cold = ExhaustiveSearch(model=model).search(paper_machine, paper_apps)
-        with capture() as cap:
-            warm = ExhaustiveSearch(model=model).search(
-                paper_machine, paper_apps
-            )
-        assert warm.allocation.as_mapping() == cold.allocation.as_mapping()
-        assert cap.metrics.counter("model/cache_hits").value == len(counts)
-        assert cap.metrics.counter("model/cache_misses").value == 0
-
-
 class TestDegradation:
     def test_no_shared_memory_falls_back(self, workload, monkeypatch):
         model, tables, counts = workload
@@ -295,25 +188,6 @@ class TestDegradation:
             )
         assert pooled is None
         assert cap.metrics.counter("parallel/fallbacks").value == 1
-
-    def test_search_survives_missing_shared_memory(
-        self, paper_machine, paper_apps, monkeypatch
-    ):
-        serial = ExhaustiveSearch(
-            model=NumaPerformanceModel(workers=0)
-        ).search(paper_machine, paper_apps)
-        monkeypatch.setattr(
-            parallel, "shared_memory_available", lambda: False
-        )
-        model = NumaPerformanceModel(workers=4, parallel_min_batch=1)
-        res = ExhaustiveSearch(model=model).search(
-            paper_machine, paper_apps
-        )
-        assert res.score == serial.score
-        assert (
-            res.allocation.counts.tobytes()
-            == serial.allocation.counts.tobytes()
-        )
 
     def test_worker_death_falls_back(self, workload):
         model, tables, counts = workload
@@ -412,13 +286,23 @@ class TestObservability:
         assert spans[0].attrs["evaluations"] == len(counts)
         assert spans[0].attrs["chunks"] == 2
 
-    def test_search_span_nests_parallel_span(
-        self, paper_machine, paper_apps
-    ):
-        model = NumaPerformanceModel(workers=2, parallel_min_batch=1)
-        with capture() as cap:
-            ExhaustiveSearch(model=model).search(
-                paper_machine, paper_apps
-            )
-        assert cap.tracer.filter(name="optimizer/exhaustive")
-        assert cap.tracer.filter(name="parallel/search")
+
+class TestUnusedByTheProgram:
+    def test_service_process_never_imports_the_pool(self):
+        # A fresh interpreter: this test process has imported the pool.
+        probe = (
+            "import sys\n"
+            "import repro.serve.gateway\n"
+            "from repro.core.model import NumaPerformanceModel\n"
+            "NumaPerformanceModel()\n"
+            "print(sorted(m for m in ('repro.core.parallel',"
+            " 'multiprocessing') if m in sys.modules))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            check=True,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        ).stdout
+        assert out.strip() == "[]"

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.__main__ import main
 from repro.errors import ServiceError
 from repro.serve import SERVE_SCENARIOS, ChurnEvent, run_replay
 
@@ -163,36 +164,15 @@ class TestCrashRestart:
         assert journaled.final_score == plain.final_score
 
 
-class TestParallelWorkers:
-    """Replays routed through the process pool (``workers=N``)."""
+class TestNoWorkerPool:
+    def test_replay_refuses_workers(self):
+        with pytest.raises(TypeError):
+            run_replay("churn-basic", seed=0, workers=2)
 
-    def test_crash_restart_pool_lifecycle(self):
-        from repro.core.parallel import pool_stats, shutdown_pools
-
-        try:
-            report = run_replay("serve-crash-restart", seed=0, workers=2)
-            assert report.passed, report.notes
-            assert report.matches_offline
-            # The scenario's own checks cover spawn -> released-at-crash
-            # -> respawned-after-recovery; the respawned pool is still
-            # live here because the replay never drains the service.
-            stats = pool_stats().get(2)
-            assert stats is not None and stats["alive"]
-        finally:
-            shutdown_pools()
-
-    def test_parallel_replay_identical_to_serial(self):
-        from repro.core.parallel import shutdown_pools
-
-        try:
-            serial = run_replay("churn-basic", seed=0)
-            pooled = run_replay("churn-basic", seed=0, workers=2)
-            assert pooled.passed, pooled.notes
-            assert pooled.final_allocation == serial.final_allocation
-            assert pooled.final_score == serial.final_score
-            assert pooled.offline_score == serial.offline_score
-        finally:
-            shutdown_pools()
+    def test_serve_refuses_workers(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--scenario", "churn-basic", "--workers", "2"])
+        assert exc.value.code == 2
 
 
 class TestServeCrashSeeds:

@@ -378,6 +378,10 @@ class TestDeltaMode:
 
 
 class TestSearchModelValidation:
+    def test_no_worker_count(self):
+        with pytest.raises(TypeError):
+            ServiceConfig(machine=model_machine(), workers=2)
+
     def test_mismatched_search_model_rejected(self):
         sim = Simulator()
         model = NumaPerformanceModel()
