@@ -233,8 +233,8 @@ class NumaPerformanceModel:
         The kernel is called through this module's
         ``batched_app_gflops`` binding, so a wrapper installed there
         sees every batch the model scores.  No search produces a batch
-        large enough to pay for a process round trip (``docs/
-        PERFORMANCE.md``, "Why scoring is serial").
+        large enough to pay for a process round trip (see "Why scoring
+        is serial" in ``docs/PERFORMANCE.md``).
         """
         return batched_app_gflops(tables, counts, self.remainder_rule)
 

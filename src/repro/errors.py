@@ -164,6 +164,7 @@ class ParallelError(ReproError):
     could not produce a result: shared memory was unavailable, a worker
     process died mid-chunk, or the pool timed out.
 
-    Always recoverable — every caller falls back to the serial fast
-    path (and bumps the ``parallel/fallbacks`` counter) instead of
-    letting this escape a search."""
+    Always recoverable — :func:`~repro.core.parallel.
+    parallel_app_gflops` bumps the ``parallel/fallbacks`` counter and
+    returns ``None``, the caller's cue to score serially, instead of
+    letting this escape."""
