@@ -9,12 +9,15 @@ that the service process does not even import it.
 """
 
 import multiprocessing
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core.candidates import CandidateSpace
 from repro.core.fasteval import ModelTables, batched_app_gflops
 from repro.core.model import NumaPerformanceModel
@@ -290,6 +293,7 @@ class TestObservability:
 class TestUnusedByTheProgram:
     def test_service_process_never_imports_the_pool(self):
         # A fresh interpreter: this test process has imported the pool.
+        src = Path(repro.__file__).resolve().parents[1]
         probe = (
             "import sys\n"
             "import repro.serve.gateway\n"
@@ -304,5 +308,6 @@ class TestUnusedByTheProgram:
             capture_output=True,
             text=True,
             timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
         ).stdout
         assert out.strip() == "[]"
