@@ -68,9 +68,10 @@ def _journal_name(generation: int) -> str:
     return f"journal-{generation:06d}.ndjson"
 
 
-def _canonical(obj) -> str:
-    """The one serialization CRCs are computed over (sorted, compact)."""
-    return json.dumps(obj, separators=(",", ":"), sort_keys=True)
+#: The one serialization CRCs are computed over (sorted, compact), and
+#: the wire protocol's (``protocol.encode_message``).  One encoder is
+#: reused: ``json.dumps`` with these arguments builds one per call.
+_canonical = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
 
 
 def _write_all(fd: int, data: bytes) -> None:

@@ -26,6 +26,7 @@ from typing import Mapping
 
 from repro.core.spec import AppSpec, Placement
 from repro.errors import ServiceError
+from repro.serve.persist import _canonical
 
 __all__ = [
     "ERROR_CODES",
@@ -121,7 +122,10 @@ def _require_name(data: Mapping, msg_type: str) -> str:
 
 
 def _require_number(value, what: str, *, minimum: float | None = None):
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    # Exact JSON types first: the ABC checks are the slow path.
+    if type(value) not in (int, float) and (
+        isinstance(value, bool) or not isinstance(value, numbers.Real)
+    ):
         raise ServiceError(f"{what} must be a number, got {value!r}")
     if minimum is not None and value < minimum:
         raise ServiceError(f"{what} must be >= {minimum}, got {value}")
@@ -223,7 +227,7 @@ class ProgressReport:
             data.get("cpu_load", 0.0), "'cpu_load'", minimum=0.0
         )
         acked = data.get("acked_epoch")
-        if acked is not None:
+        if acked is not None and type(acked) is not int:
             if isinstance(acked, bool) or not isinstance(
                 acked, numbers.Integral
             ):
@@ -440,7 +444,7 @@ def encode_message(message) -> str:
         raise ServiceError(
             f"not a protocol message: {message!r}"
         ) from exc
-    return json.dumps(data, separators=(",", ":"), sort_keys=True)
+    return _canonical(data)
 
 
 def decode_message(line: str):

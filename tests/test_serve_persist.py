@@ -33,6 +33,7 @@ from repro.serve.persist import (
     latest_journal_segment,
     load_journal,
 )
+from repro.serve.protocol import app_spec_to_dict
 from repro.sim.engine import Simulator
 
 MEM = AppSpec.memory_bound("mem", 0.5)
@@ -121,6 +122,42 @@ class TestRecordCodec:
         tampered = line.replace("0.5", "0.6")
         with pytest.raises(ServiceError):
             decode_record(tampered)
+
+    def test_lines_are_pinned_bytes(self):
+        # Journals written before the encoder was shared must still
+        # load, and new ones must read back the same: same bytes.
+        app = app_spec_to_dict(AppSpec.memory_bound("mem", 0.5))
+        records = [
+            (1, {"kind": "register", "name": "mem", "t": 0.125, "app": app}),
+            (2, {"kind": "report", "name": "mem", "t": 12.5,
+                 "progress": {"steps": 3.0, "bytes": 1e-07},
+                 "cpu_load": 0.8, "acked": None}),
+            (3, {"kind": "allocation", "epoch": 4,
+                 "score": 79.80000000000001, "degraded": False,
+                 "allocation": {"mem": [8, 8, 8, 8],
+                                "caf\u00e9": [0, 0, 0, 0]}}),
+            (4, {"kind": "push", "name": "caf\u00e9", "epoch": 4}),
+            (5, {"kind": "quarantine", "name": 'a"b\\c'}),
+            (2**40, {"kind": "deregister", "name": "mem"}),
+        ]
+        assert [encode_record(seq, event) for seq, event in records] == [
+            '{"crc":4154662468,"event":{"app":{"arithmetic_intensity":0.5,'
+            '"home_node":null,"name":"mem","peak_gflops_per_thread":null,'
+            '"placement":"numa-perfect"},"kind":"register","name":"mem",'
+            '"t":0.125},"seq":1}',
+            '{"crc":756499866,"event":{"acked":null,"cpu_load":0.8,'
+            '"kind":"report","name":"mem","progress":{"bytes":1e-07,'
+            '"steps":3.0},"t":12.5},"seq":2}',
+            '{"crc":1365042470,"event":{"allocation":{"caf\\u00e9":'
+            '[0,0,0,0],"mem":[8,8,8,8]},"degraded":false,"epoch":4,'
+            '"kind":"allocation","score":79.80000000000001},"seq":3}',
+            '{"crc":2001890670,"event":{"epoch":4,"kind":"push",'
+            '"name":"caf\\u00e9"},"seq":4}',
+            '{"crc":2708316430,"event":{"kind":"quarantine",'
+            '"name":"a\\"b\\\\c"},"seq":5}',
+            '{"crc":73005597,"event":{"kind":"deregister","name":"mem"},'
+            '"seq":1099511627776}',
+        ]
 
     @settings(max_examples=200, deadline=None)
     @given(seq=st.integers(1, 2**63), event=_events)

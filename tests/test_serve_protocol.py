@@ -3,7 +3,9 @@ codec byte-identically, and malformed input is rejected with
 `ServiceError` rather than a stack trace."""
 
 import json
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from repro.core import AppSpec
@@ -20,6 +22,7 @@ from repro.serve import (
     decode_message,
     encode_message,
 )
+from repro.serve.protocol import _MESSAGE_TYPES
 
 ALL_MESSAGES = [
     Register(name="a", app=AppSpec.memory_bound("a", 0.5)),
@@ -83,6 +86,89 @@ class TestRoundTrip:
         line = encode_message(Register(name="bad", app=app))
         decoded = decode_message(line)
         assert decoded.app.fingerprint == app.fingerprint
+
+
+class TestSharedEncoder:
+    """``encode_message`` reuses one encoder; its bytes are unchanged."""
+
+    MESSAGES = ALL_MESSAGES + [
+        ErrorReply(error='caf\u00e9 "quoted"\n\\', code="malformed"),
+        AllocationUpdate(
+            name="\u00e9t\u00e9", per_node=(1, 0, 3, 2), epoch=2**40,
+            score=79.80000000000001,
+        ),
+        ProgressReport(
+            name="a", time=1e-07, progress={"z": 2.5, "a": -0.0},
+            cpu_load=0.1, acked_epoch=0,
+        ),
+    ]
+
+    def test_every_message_type_is_covered(self):
+        assert {type(m) for m in self.MESSAGES} == set(
+            _MESSAGE_TYPES.values()
+        )
+
+    @pytest.mark.parametrize(
+        "message", MESSAGES, ids=lambda m: type(m).__name__
+    )
+    def test_encoding_equals_json_dumps(self, message):
+        assert encode_message(message) == json.dumps(
+            message.to_dict(), separators=(",", ":"), sort_keys=True
+        )
+
+
+#: ``(label, value, accepted as a number, accepted as an epoch)``: what
+#: the checks accepted before their exact-type fast paths; ``None`` is
+#: an absent ``acked_epoch``, not a number.
+NUMBER_CHECKS = [
+    ("int", 3, True, True),
+    ("float", 2.5, True, False),
+    ("bool", True, False, False),
+    ("numpy.float64", np.float64(1.5), True, False),
+    ("numpy.int64", np.int64(7), True, True),
+    ("Fraction", Fraction(1, 3), True, False),
+    ("str", "1", False, False),
+    ("None", None, False, True),
+]
+
+
+class TestNumberChecks:
+    @pytest.mark.parametrize(
+        "label, value, number, _", NUMBER_CHECKS,
+        ids=[c[0] for c in NUMBER_CHECKS],
+    )
+    def test_number_fields(self, label, value, number, _):
+        for data in (
+            {"name": "a", "time": value},
+            {"name": "a", "time": 1.0, "cpu_load": value},
+            {"name": "a", "time": 1.0, "progress": {"steps": value}},
+        ):
+            if number:
+                report = ProgressReport.from_dict(data)
+                assert report.time == float(data["time"])
+                assert report.cpu_load == float(data.get("cpu_load", 0.0))
+            else:
+                with pytest.raises(ServiceError, match="must be a number"):
+                    ProgressReport.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "label, value, _, epoch", NUMBER_CHECKS,
+        ids=[c[0] for c in NUMBER_CHECKS],
+    )
+    def test_acked_epoch(self, label, value, _, epoch):
+        data = {"name": "a", "time": 1.0, "acked_epoch": value}
+        if epoch:
+            acked = ProgressReport.from_dict(data).acked_epoch
+            assert acked == value
+            assert value is None or type(acked) is int
+        else:
+            with pytest.raises(ServiceError, match="must be an integer"):
+                ProgressReport.from_dict(data)
+
+    def test_minimum_still_applies_to_exact_types(self):
+        for bad in (-1, -0.5):
+            with pytest.raises(ServiceError, match=">= 0.0"):
+                ProgressReport.from_dict({"name": "a", "time": bad})
 
 
 class TestRejection:
