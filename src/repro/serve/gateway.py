@@ -25,17 +25,25 @@ same admission control:
   (pair the depth with ``ServiceConfig.command_deadline`` to turn the
   bound into an explicit SLO).
 * **Per-connection deadlines** — a peer that keeps a socket open
-  without completing a line or an HTTP request (slow-loris) is
-  disconnected after ``idle_deadline`` seconds, and a closing
-  connection gives a peer that stopped reading the same time to take
-  its pending replies before it is aborted; oversized frames are
-  rejected with ``frame-too-large``.
+  without completing a line, an HTTP head line or an HTTP body within
+  ``idle_deadline`` seconds of the read starting (slow-loris) is
+  disconnected with no reply.  One timer per connection bounds its
+  reads, and only its reads: an HTTP request waiting for its reply is
+  never cut off.  A closing connection gives a peer that stopped
+  reading the same time to take its pending replies before it is
+  aborted; oversized frames are rejected with ``frame-too-large``.
 * **Graceful drain** — :meth:`GatewayServer.stop` closes the
   listeners, *finishes every already-admitted command*, then drains
   the service core (shutdown notices, journal compaction) and flushes
   each outbox, wired into the write-ahead-journal/recovery lifecycle
   of :mod:`repro.serve.persist`.  A socket or command that arrives
   inside the drain window is answered ``draining``.
+
+One command's path: each connection has one reader task that reads
+and decodes a line and admits the command; the one dispatcher task
+hands it to the service core, and the reply is written to the socket
+in place — through the connection's outbox and writer task only when
+the peer has fallen behind.
 
 Shedding reuses the PR-8 :data:`~repro.serve.protocol.ERROR_CODES`
 table — no new codes are minted: every gateway rejection is
@@ -54,7 +62,7 @@ import contextlib
 import json
 import urllib.parse
 from dataclasses import dataclass
-from typing import Callable
+from typing import Awaitable, Callable
 
 from repro.errors import ServiceError
 from repro.obs import OBS, CounterHandle, GaugeHandle, HistogramHandle
@@ -214,8 +222,8 @@ class GatewayConfig:
         shed ``overloaded``; the gateway's only buffering, hence its
         queueing-delay bound.
     idle_deadline:
-        Seconds a connection may sit without completing a request
-        line (or an HTTP request) before it is disconnected —
+        Seconds one read may take to complete a request line (an HTTP
+        head line, an HTTP body) before the connection is dropped —
         the slow-loris bound — and, when a stream connection closes,
         seconds its peer gets to take the pending replies before the
         transport is aborted.  ``None`` disables both bounds.
@@ -291,6 +299,77 @@ class _Admitted:
         self.future = future
 
 
+class _IdleTimer:
+    """One connection's idle deadline: a single timer bounding its reads.
+
+    A read records only its start time.  The one ``loop.call_at``
+    handle is armed by a read that finds none, for that read's
+    deadline; when it fires while a later read is running it re-arms
+    for that read's deadline, and when no read is running it disarms,
+    so the connection's other waits are never bounded.  Expiry cancels
+    the connection's task, and :meth:`read` turns that cancellation
+    into :class:`asyncio.TimeoutError`.  With no deadline nothing is
+    armed.
+    """
+
+    __slots__ = ("_loop", "_task", "_deadline", "_handle", "_due",
+                 "_started", "_expired")
+
+    def __init__(self, deadline: float | None) -> None:
+        self._loop = asyncio.get_running_loop()
+        self._task = asyncio.current_task()
+        self._deadline = deadline
+        self._handle: asyncio.TimerHandle | None = None
+        #: loop time the armed handle fires at.
+        self._due = 0.0
+        #: loop time the running read started; ``None`` between reads.
+        self._started: float | None = None
+        self._expired = False
+
+    async def read(self, read: Awaitable):
+        """Await one read; ``asyncio.TimeoutError`` past its deadline."""
+        deadline = self._deadline
+        if deadline is None:
+            return await read
+        self._started = started = self._loop.time()
+        if self._handle is None:
+            self._arm(started + deadline)
+        try:
+            return await read
+        except asyncio.CancelledError:
+            if not self._expired:
+                raise
+            # Consume the timer's own cancellation (Python 3.11+ counts
+            # them); one requested by anyone else still propagates.
+            uncancel = getattr(self._task, "uncancel", None)
+            if uncancel is not None and uncancel():
+                raise
+            raise asyncio.TimeoutError from None
+        finally:
+            self._started = None
+
+    def _arm(self, due: float) -> None:
+        self._due = due
+        self._handle = self._loop.call_at(due, self._fire)
+
+    def _fire(self) -> None:
+        self._handle = None
+        if self._started is None:
+            return  # no read running: stay disarmed until the next
+        due = self._started + self._deadline
+        if due > self._due:
+            self._arm(due)  # a later read, with time left
+            return
+        self._expired = True
+        self._task.cancel()
+
+    def cancel(self) -> None:
+        """Disarm for good; the connection is closing."""
+        if self._handle is not None:
+            self._handle.cancel()
+            self._handle = None
+
+
 class _HttpError(Exception):
     """An HTTP request that failed before reaching the protocol."""
 
@@ -336,6 +415,8 @@ class GatewayServer:
         #: every bound listener: TCP, unix socket, HTTP.
         self._listeners: list[asyncio.AbstractServer] = []
         self._connections: set[_Connection] = set()
+        #: session name -> the stream connection its pushes go to.
+        self._subscribed: dict[str, _Connection] = {}
         self._http_count = 0
         self._admission: asyncio.Queue | None = None
         self._dispatcher: asyncio.Task | None = None
@@ -549,17 +630,16 @@ class GatewayServer:
                 service.clock() - item.received_at
             )
         conn = item.conn
+        if isinstance(reply, Ack):
+            if isinstance(message, Register):
+                if conn is not None and not conn.closed:
+                    self._subscribed[message.name] = conn
+                    service.subscribe(message.name, conn.push)
+            elif isinstance(message, Deregister):
+                # The service dropped the subscription, whoever held it.
+                self._subscribed.pop(message.name, None)
         if conn is not None:
-            if isinstance(message, Register) and isinstance(reply, Ack):
-                conn.session_name = message.name
-                service.subscribe(message.name, conn.push)
             conn.push(reply)
-            if (
-                isinstance(message, Deregister)
-                and isinstance(reply, Ack)
-                and conn.session_name == message.name
-            ):
-                conn.session_name = None
         if item.future is not None and not item.future.done():
             item.future.set_result(reply)
 
@@ -618,12 +698,13 @@ class GatewayServer:
         service = self.service
         assert service is not None
         loop = asyncio.get_running_loop()
+        idle = _IdleTimer(gw.idle_deadline)
         try:
             # Not a retry loop: one iteration per request line, bounded
             # by EOF, the idle deadline, or a torn frame.
             while True:  # repro: noqa[RETRY001]
                 try:
-                    line = await self._within_deadline(reader.readline())
+                    line = await idle.read(reader.readline())
                 except asyncio.TimeoutError:
                     # Slow-loris: the peer held the socket open without
                     # completing a line within the idle deadline.  No
@@ -674,19 +755,18 @@ class GatewayServer:
             # to the teardown below.
             pass
         finally:
-            if conn.session_name is not None:
-                service.unsubscribe(conn.session_name)
+            idle.cancel()
+            # Only the subscriptions still this connection's: a session
+            # may have moved to another connection since it registered.
+            for name in [
+                n for n, c in self._subscribed.items() if c is conn
+            ]:
+                del self._subscribed[name]
+                service.unsubscribe(name)
             await conn.close(gw.idle_deadline)
             self._connections.discard(conn)
             if OBS.enabled:
                 _CONNECTIONS.set(self.connection_count)
-
-    async def _within_deadline(self, read):
-        """Await one read, bounded by the idle deadline when configured."""
-        deadline = self.gateway.idle_deadline
-        if deadline is None:
-            return await read
-        return await asyncio.wait_for(read, timeout=deadline)
 
     # -- HTTP adapter ---------------------------------------------------
 
@@ -708,9 +788,12 @@ class GatewayServer:
         self._http_count += 1
         if OBS.enabled:
             _CONNECTIONS.set(self.connection_count)
+        idle = _IdleTimer(self.gateway.idle_deadline)
         try:
             try:
-                method, path, body = await self._read_http_request(reader)
+                method, path, body = await self._read_http_request(
+                    reader, idle
+                )
             except asyncio.TimeoutError:
                 self.idle_timeouts += 1
                 if OBS.enabled:
@@ -737,6 +820,7 @@ class GatewayServer:
             # The peer vanished mid-request; nothing left to answer.
             pass
         finally:
+            idle.cancel()
             writer.close()
             with contextlib.suppress(ConnectionError):
                 await writer.wait_closed()
@@ -745,11 +829,11 @@ class GatewayServer:
                 _CONNECTIONS.set(self.connection_count)
 
     async def _read_http_request(
-        self, reader: asyncio.StreamReader
+        self, reader: asyncio.StreamReader, idle: _IdleTimer
     ) -> tuple[str, str, bytes]:
         """Parse one HTTP/1.1 request head + body off the stream."""
         try:
-            request_line = await self._within_deadline(reader.readline())
+            request_line = await idle.read(reader.readline())
         except ValueError as exc:
             raise _HttpError(431, "request line too long") from exc
         if not request_line:
@@ -763,7 +847,7 @@ class GatewayServer:
         # the blank line, EOF, and the _MAX_HEADERS cap.
         while True:  # repro: noqa[RETRY001]
             try:
-                line = await self._within_deadline(reader.readline())
+                line = await idle.read(reader.readline())
             except ValueError as exc:
                 raise _HttpError(431, "header line too long") from exc
             if line in (b"\r\n", b"\n", b""):
@@ -793,7 +877,7 @@ class GatewayServer:
                     f"{self.gateway.max_line_bytes}-byte frame cap",
                 )
             try:
-                body = await self._within_deadline(reader.readexactly(length))
+                body = await idle.read(reader.readexactly(length))
             except asyncio.IncompleteReadError as exc:
                 raise _HttpError(400, "body shorter than content-length") from exc
         return method, path, body

@@ -6,12 +6,18 @@ peer's state in a :class:`_Connection`: one request per line in, one
 reply line out, plus unsolicited pushed lines (allocation updates, the
 final shutdown notice) interleaved on the same stream.
 
-* **Backpressure** — replies and pushes go through a bounded
-  per-connection outbox drained by one writer task that awaits
+* **Replies written in place** — :meth:`_Connection.push` encodes a
+  reply or push and writes it straight to the transport while the peer
+  keeps up: nothing queued in the outbox, nothing buffered in the
+  transport.  A transport that is closing takes nothing.
+* **Backpressure** — once the peer falls behind, messages queue in a
+  bounded per-connection outbox drained by one writer task that awaits
   ``writer.drain()``, so one slow consumer stalls only its own stream,
-  never the service core or other sessions.  A peer that stops reading
-  entirely overflows its outbox and its transport is aborted; its
-  session stays live but gets no more pushes, so the runtime polls with
+  never the service core or other sessions.  A message is written in
+  place only when nothing is queued, so the order on a stream is the
+  order the service produced.  A peer that stops reading entirely
+  overflows its outbox and its transport is aborted; its sessions stay
+  live but get no more pushes, so the runtime polls with
   ``query-allocation`` until the session closes.
 * **Bounded close** — :meth:`_Connection.close` flushes the outbox but
   gives the peer only a grace period to take it, so neither connection
@@ -55,25 +61,37 @@ class _Connection:
         self, writer: asyncio.StreamWriter, outbox_limit: int
     ) -> None:
         self.writer = writer
+        self.transport = writer.transport
         self.outbox: asyncio.Queue = asyncio.Queue()
         self.outbox_limit = outbox_limit
-        self.session_name: str | None = None
+        #: set once :meth:`close` began; no session subscribes after.
+        self.closed = False
         self.writer_task = asyncio.ensure_future(self.drain_outbox())
 
     def push(self, message) -> None:
-        """Enqueue a pushed message; overflow aborts the connection.
+        """Send a reply or pushed message; overflow aborts the connection.
 
-        Called synchronously from the service core.  A full outbox
+        Called synchronously from the dispatcher and the service core.
+        While the peer keeps up (outbox empty, transport buffer empty)
+        the line is written in place; otherwise it queues behind
+        what is already waiting, for the writer task.  A full outbox
         means the peer stopped reading its stream; rather than block
         the core (or buffer without bound) the transport is aborted,
         which also wakes a writer blocked in ``drain()`` and ends the
         read loop.  The session loses its push stream; its runtime can
         still poll with ``query-allocation``.
         """
-        if self.outbox.qsize() >= self.outbox_limit:
-            self.writer.transport.abort()
+        transport = self.transport
+        if transport.is_closing():
             return
-        self.outbox.put_nowait(message)
+        outbox = self.outbox
+        if outbox.empty() and not transport.get_write_buffer_size():
+            transport.write((encode_message(message) + "\n").encode("utf-8"))
+            return
+        if outbox.qsize() >= self.outbox_limit:
+            transport.abort()
+            return
+        outbox.put_nowait(message)
 
     async def drain_outbox(self) -> None:
         """Writer task body: serialize the outbox onto the socket."""
@@ -97,6 +115,7 @@ class _Connection:
         concurrently (a connection's own teardown racing
         :meth:`~repro.serve.gateway.GatewayServer.stop`).
         """
+        self.closed = True
         self.outbox.put_nowait(_CLOSE)
         try:
             await asyncio.wait_for(self._flush(), grace)
