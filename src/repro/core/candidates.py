@@ -31,10 +31,16 @@ directly:
   search has always used, so seeded runs replay bit-identically.
 
 The symmetric subspace depends only on (cores per node, apps, nodes,
-``require_full``), so its counts tensor is built once per size and
-shared read-only (:func:`symmetric_counts_tensor`): every exhaustive
-search and delta audit over one workload size scores the same array
-instead of re-enumerating it.  That 4-tuple is the tensor's key
+``require_full``), so it is built once per size and shared read-only
+(:func:`symmetric_counts_tensor`): every exhaustive search and delta
+audit over one workload size scores the same array instead of
+re-enumerating it.  It is stored as its ``(B, apps)`` matrix of
+compositions, built in NumPy in the pinned order, and the ``(B, apps,
+nodes)`` counts tensor is a zero-copy broadcast view of that matrix:
+a node-symmetric row repeats its composition on every node, so the
+view's node stride is 0 and ``tensor[:, :, 0]`` is the matrix itself.
+The bounded search reads the compositions, and only the rows the
+kernel scores are ever expanded.  That 4-tuple is the tensor's key
 (:meth:`CandidateSpace.symmetric_key`); a search names its batch by it,
 so the model can cache the whole space's winner as one entry
 (:func:`is_symmetric_tensor` checks the name).
@@ -64,7 +70,8 @@ __all__ = [
 
 #: Symmetric tensors kept by :func:`symmetric_counts_tensor`, LRU.  A
 #: churning population moves between a few neighbouring sizes; 8 apps on
-#: the 4 x 8-core model machine is a 6,435-row, 1.6 MB tensor.
+#: the 4 x 8-core model machine is 6,435 compositions, 0.4 MB (10 apps:
+#: 24,310, 1.9 MB), whatever the number of nodes.
 _TENSORS_KEPT = 8
 
 
@@ -141,9 +148,11 @@ def symmetric_counts_tensor(
     to its evaluator's ``best_row``, which rules on the entire space in
     one step (:meth:`~repro.core.fasteval.FastEvaluator.best_row`).
 
-    The tensor is built on first use and memoised per (cores per node,
-    apps, nodes, ``require_full``); every later call for that size
-    returns the same array, which is therefore read-only.
+    The tensor is an int64 broadcast view of the ``(B, apps)``
+    composition matrix, with a node stride of 0; ``tensor[:, :, 0]`` is
+    that matrix.  It is built on first use and memoised per (cores per
+    node, apps, nodes, ``require_full``); every later call for that
+    size returns the same array, which is therefore read-only.
     """
     return _symmetric_tensor(
         _common_cores(machine), num_apps, machine.num_nodes, require_full
@@ -178,21 +187,48 @@ def _symmetric_size(cores: int, num_apps: int, require_full: bool) -> int:
     return math.comb(cores + num_apps, num_apps)
 
 
+def _compositions(cores: int, num_apps: int, require_full: bool) -> np.ndarray:
+    """:func:`enumerate_node_compositions` as one ``(B, num_apps)`` matrix.
+
+    The same rows in the same order, built an app at a time: each
+    prefix of counts branches into every count the cores it leaves can
+    take, smallest first, so the rows come out in lexicographic order
+    within each total, and the totals in ascending order.  The last
+    app takes what its prefix leaves.
+    """
+    if cores < 0 or num_apps <= 0:
+        raise AllocationError(
+            f"invalid composition space: cores={cores}, apps={num_apps}"
+        )
+    # left[p]: cores prefix p leaves; steps[a]: (parent, count) of app a.
+    left = np.arange(cores if require_full else 0, cores + 1)
+    steps = []
+    for _ in range(num_apps - 1):
+        width = left + 1
+        parent = np.repeat(np.arange(len(left)), width)
+        count = np.arange(len(parent))
+        count -= np.repeat(np.cumsum(width) - width, width)
+        left = left[parent] - count
+        steps.append((parent, count))
+    comps = np.empty((len(left), num_apps), dtype=np.int64)
+    comps[:, -1] = left
+    prefix = np.arange(len(left))
+    for app in range(num_apps - 2, -1, -1):
+        parent, count = steps[app]
+        comps[:, app] = count[prefix]
+        prefix = parent[prefix]
+    return comps
+
+
 @functools.lru_cache(maxsize=_TENSORS_KEPT)
 def _symmetric_tensor(
     cores: int, num_apps: int, num_nodes: int, require_full: bool
 ) -> np.ndarray:
-    comps = np.array(
-        list(
-            enumerate_node_compositions(
-                cores, num_apps, require_full=require_full
-            )
-        ),
-        dtype=np.int64,
-    ).reshape(-1, num_apps)
-    tensor = np.repeat(comps[:, :, None], num_nodes, axis=2)
-    tensor.setflags(write=False)
-    return tensor
+    comps = _compositions(cores, num_apps, require_full)
+    comps.setflags(write=False)
+    return np.broadcast_to(
+        comps[:, :, None], (len(comps), num_apps, num_nodes)
+    )
 
 
 class CandidateSpace:
@@ -202,7 +238,8 @@ class CandidateSpace:
     applications; app identities stay with the caller.  All batch
     builders return ``(B, apps, nodes)`` int64 tensors suitable for
     :meth:`~repro.core.model.NumaPerformanceModel.predict_scores`: the
-    move batches fresh, the symmetric tensor shared and read-only.
+    move batches fresh, the symmetric tensor a shared, read-only view
+    of its compositions.
     """
 
     def __init__(self, machine: MachineTopology, num_apps: int) -> None:
@@ -247,7 +284,8 @@ class CandidateSpace:
         """The symmetric subspace as one read-only ``(B, apps, nodes)`` tensor.
 
         Row order matches :meth:`symmetric_allocations` exactly.  Every
-        space of one size returns the same memoised array
+        space of one size returns the same memoised array, a broadcast
+        view of the ``(B, apps)`` compositions
         (:func:`symmetric_counts_tensor`).
         """
         return symmetric_counts_tensor(

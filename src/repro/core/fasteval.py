@@ -35,12 +35,16 @@ layers:
    scores for the length of one search.
 4. **Bounded search** — :meth:`FastEvaluator.best_row` finds the first
    best row of a whole symmetric space without scoring all of it when
-   the objective carries an upper bound (:func:`roofline_bound` for
-   total GFLOPS): it scores the rows with the highest bounds first,
+   the objective carries an upper bound (:func:`symmetric_roofline_bound`
+   for total GFLOPS): it scores the rows with the highest bounds first,
    then only the rows whose bound reaches the best score found and
    whose ceiling -- the objective with every thread at its peak, exact
    to the bit -- lets them beat the first best row.  The row it returns
-   is the first ``argmax`` of the unpruned scores.
+   is the first ``argmax`` of the unpruned scores.  The bounds and
+   ceilings are read from the space's ``(B, apps)`` compositions, of
+   which the memoised ``(B, apps, nodes)`` tensor is a broadcast view
+   (:mod:`repro.core.candidates`); only the rows the kernel scores are
+   expanded to ``(b, apps, nodes)``.
 
 The scalar :meth:`~repro.core.model.NumaPerformanceModel.predict`
 remains the ground truth; parity (``|batched - reference| <= 1e-9``) is
@@ -71,6 +75,7 @@ __all__ = [
     "FastEvaluator",
     "batched_app_gflops",
     "roofline_bound",
+    "symmetric_roofline_bound",
     "as_counts_batch",
     "check_oversubscription",
     "workload_fingerprint",
@@ -79,7 +84,8 @@ __all__ = [
 #: An objective's batched form: ``(per-app GFLOPS (B, A), apps) -> (B,)``.
 BatchedObjective = Callable[[np.ndarray, Sequence[AppSpec]], np.ndarray]
 
-#: An upper bound on an objective: ``(tables, counts (B, A, N)) -> (B,)``.
+#: An upper bound on an objective over node-symmetric rows, each given
+#: as its composition: ``(tables, compositions (B, A)) -> (B,)``.
 ScoreBound = Callable[["ModelTables", np.ndarray], np.ndarray]
 
 #: Rows the bounded search scores first, those with the highest bounds.
@@ -373,42 +379,109 @@ def batched_app_gflops(
     return out
 
 
+@dataclass(frozen=True)
+class _Roofline:
+    """The machine-wide roofline of one workload, a fractional knapsack.
+
+    The model grants no more bandwidth in all than the nodes' memories
+    hold, and no app computes faster than its threads' peak, whatever
+    the bandwidth.  So hand the sum of the node bandwidths to the apps
+    in descending arithmetic intensity, each taking the bandwidth its
+    cap can use: the GFLOPS this buys are at least the model's total
+    for the row, up to rounding.
+
+    A row is given as ``x`` ``(b, A)``, app ``a``'s cap being ``x[:, a]
+    * unit[a]``: the caps themselves with ``unit`` 1
+    (:func:`roofline_bound`), or the composition with ``unit`` the app's
+    per-thread peak summed over the nodes
+    (:func:`symmetric_roofline_bound`).  Both quantities the knapsack
+    needs are linear in ``x``, so each is one ``(b, A) @ (A, A)``
+    product.
+
+    Attributes
+    ----------
+    caps:
+        ``(A, A)`` — ``x @ caps`` is the apps' caps, in descending
+        intensity.
+    ahead:
+        ``(A, A)`` — ``x @ ahead`` is the bandwidth the apps ahead of
+        each, in that order, can turn into GFLOPS.
+    intensity:
+        ``(A,)`` — the apps' intensities, in that order.
+    bandwidth:
+        The sum of the node bandwidths.
+    """
+
+    caps: np.ndarray
+    ahead: np.ndarray
+    intensity: np.ndarray
+    bandwidth: float
+
+    @classmethod
+    def of(cls, tables: ModelTables, unit: np.ndarray) -> "_Roofline":
+        """The knapsack of ``tables`` for rows whose caps scale by ``unit``."""
+        n_apps = len(unit)
+        order = np.argsort(-tables.intensity, kind="stable")
+        intensity = tables.intensity[order]
+        caps = np.zeros((n_apps, n_apps))
+        caps[order, np.arange(n_apps)] = unit[order]
+        ahead = (caps / intensity) @ np.triu(np.ones((n_apps, n_apps)), 1)
+        return cls(caps, ahead, intensity, tables.node_capacity.sum())
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """The bound of each float row of ``x``, ``(b, A) -> (b,)``."""
+        left = x @ self.ahead
+        np.subtract(self.bandwidth, left, out=left)
+        np.maximum(left, 0.0, out=left)
+        left *= self.intensity
+        np.minimum(x @ self.caps, left, out=left)
+        return left @ np.ones(len(self.intensity))
+
+
 def roofline_bound(tables: ModelTables, counts: np.ndarray) -> np.ndarray:
     """An upper bound on each candidate's total GFLOPS, ``(B, A, N) -> (B,)``.
 
-    The machine-wide roofline.  The model grants no more bandwidth in
-    all than the nodes' memories hold, and no app computes faster than
-    its threads' peak, whatever the bandwidth.  So hand the sum of the
-    node bandwidths to the apps in descending arithmetic intensity,
-    each taking the bandwidth its peak can use (a fractional knapsack):
-    the GFLOPS this buys are at least the model's total for the
-    candidate, up to rounding.  Carried by
-    :func:`~repro.core.optimizer.total_gflops` as its ``bound``.
+    The machine-wide roofline (:class:`_Roofline`): the sum of the node
+    bandwidths handed to the apps in descending arithmetic intensity,
+    each taking the bandwidth its threads' peak can use.  App ``a``'s
+    cap is ``sum_n counts[b, a, n] * peak[a, n]``.  The bounded search
+    runs the same knapsack on the symmetric rows' compositions
+    (:func:`symmetric_roofline_bound`).
 
     Rows are bounded in blocks of :func:`_block_rows`, so no temporary
     grows with the batch.
     """
     batch, n_apps, n_nodes = counts.shape
-    order = np.argsort(-tables.intensity, kind="stable")
-    intensity = tables.intensity[order]
-    # Both quantities are linear in the counts, so one matmul per block
-    # gives them.  peak[a * N + n, k] is one thread's peak if app
-    # a = order[k] on node n; the app's cap is its threads' sum.
-    peak = np.zeros((n_apps, n_nodes, n_apps))
-    peak[order, :, np.arange(n_apps)] = tables.peak_per_thread[order]
-    peak = peak.reshape(n_apps * n_nodes, n_apps)
-    # The bandwidth the apps ahead of app k can turn into GFLOPS.
-    ahead = (peak / intensity) @ np.triu(np.ones((n_apps, n_apps)), 1)
-    weights = np.concatenate([peak, ahead], axis=1)
-    bandwidth = tables.node_capacity.sum()
+    roofline = _Roofline.of(tables, np.ones(n_apps))
     rows = _block_rows(n_apps, n_nodes)
     out = np.empty(batch)
     for lo in range(0, batch, rows):
-        block = counts[lo : lo + rows]
-        both = block.reshape(len(block), -1) @ weights
-        left = np.maximum(bandwidth - both[:, n_apps:], 0.0)
-        left *= intensity
-        out[lo : lo + rows] = np.minimum(both[:, :n_apps], left).sum(axis=1)
+        caps = counts[lo : lo + rows].astype(float)
+        caps *= tables.peak_per_thread
+        out[lo : lo + rows] = roofline(caps.sum(axis=2))
+    return out
+
+
+def symmetric_roofline_bound(
+    tables: ModelTables, comps: np.ndarray
+) -> np.ndarray:
+    """:func:`roofline_bound` of node-symmetric rows, ``(B, A) -> (B,)``.
+
+    ``comps`` holds each row's composition, the thread counts it
+    repeats on every node (``tensor[:, :, 0]`` of the memoised
+    :func:`~repro.core.candidates.symmetric_counts_tensor`).  An app
+    with ``k`` threads per node is capped at ``k`` times its per-thread
+    peak summed over the nodes, so the knapsack runs on the
+    compositions and no ``(B, A, N)`` array is formed.  Rows are bounded
+    ``_BLOCK_ELEMENTS // A`` at a time.  Carried by
+    :func:`~repro.core.optimizer.total_gflops` as its ``bound``.
+    """
+    n_rows, n_apps = comps.shape
+    roofline = _Roofline.of(tables, tables.peak_per_thread.sum(axis=1))
+    rows = max(1, _BLOCK_ELEMENTS // n_apps)
+    out = np.empty(n_rows)
+    for lo in range(0, n_rows, rows):
+        out[lo : lo + rows] = roofline(comps[lo : lo + rows].astype(float))
     return out
 
 
@@ -632,7 +705,8 @@ class FastEvaluator:
 
         An objective opts into the fast path by carrying a ``batched``
         attribute, and into the bounded whole-space search by also
-        carrying a ``bound`` (see :mod:`repro.core.optimizer`);
+        carrying a ``bound`` over the symmetric rows' compositions
+        (:data:`ScoreBound`; see :mod:`repro.core.optimizer`);
         arbitrary callables over full
         :class:`~repro.core.model.Prediction` objects cannot be
         vectorised and are scored by the scalar evaluator.
@@ -707,23 +781,25 @@ class FastEvaluator:
     ) -> tuple[int, int, int]:
         """First argmax over the rows the bounds cannot rule out.
 
-        Bounds every row and scores the :data:`_FIRST_PASS` rows with
-        the highest bounds, the earliest first among equal bounds.
-        Then it scores, a row block at a time in enumeration order, the
-        other rows that can still be the first maximum: a row whose
-        bound is below the best score found less :data:`_BOUND_SLACK`
-        cannot, nor can one whose ceiling (:meth:`_peak_ceiling`, the
-        objective at every thread's peak, exact to the bit) is below
-        it, or equal to it after the first best row found.  The best
-        score and its first row are updated after every block, so when
-        many rows reach the machine's compute peak exactly, the scan
-        stops at the first of them.  Every row left out scores below a
-        scored one, or equal to it later, so the first maximum of the
-        scored rows in enumeration order is the first maximum of all of
-        them.  No temporary grows with the space.
+        Bounds every row from its composition (``counts[:, :, 0]``, the
+        matrix the memoised tensor views) and scores the
+        :data:`_FIRST_PASS` rows with the highest bounds, the earliest
+        first among equal bounds.  Then it scores, a row block at a time
+        in enumeration order, the other rows that can still be the first
+        maximum: a row whose bound is below the best score found less
+        :data:`_BOUND_SLACK` cannot, nor can one whose ceiling
+        (:meth:`_peak_ceiling`, the objective at every thread's peak,
+        exact to the bit) is below it, or equal to it after the first
+        best row found.  The best score and its first row are updated
+        after every block, so when many rows reach the machine's compute
+        peak exactly, the scan stops at the first of them.  Every row
+        left out scores below a scored one, or equal to it later, so the
+        first maximum of the scored rows in enumeration order is the
+        first maximum of all of them.  Only the scored rows are expanded
+        to ``(b, A, N)``, and no temporary grows with the space.
         """
         block = _block_rows(*counts.shape[1:])
-        bound = self.bound(tables, counts)
+        bound = self.bound(tables, counts[:, :, 0])
         rows = _highest(bound, min(_FIRST_PASS, len(counts)))
         scores = self._score_rows(tables, counts, rows)
         top = scores.max()
@@ -753,22 +829,31 @@ class FastEvaluator:
     def _peak_ceiling(
         self, tables: ModelTables, counts: np.ndarray, rows: np.ndarray
     ) -> np.ndarray:
-        """The objective of ``counts[rows]`` at every thread's peak.
+        """The objective of the symmetric rows ``counts[rows]`` at peak.
 
         The kernel takes each group's GFLOPS as the smaller of what its
-        bandwidth buys and ``threads * peak``, the same product this
-        forms, and sums the groups in the same order; float sums are
-        monotone, so no row's score is above its ceiling, not even by
-        rounding, for an objective that never falls when an app's
-        GFLOPS rise (see :mod:`repro.core.optimizer`).  Computed a row
-        block at a time.
+        bandwidth buys and ``threads * peak``, and sums an app's groups
+        over the nodes.  In a symmetric row an app runs the same count
+        ``k`` on every node, so its sum at the peak depends on ``k``
+        alone: it is tabulated for ``k = 0 .. cores`` from the kernel's
+        own ``threads * peak`` products, summed in the kernel's order,
+        and gathered by the rows' compositions (``counts[:, :, 0]``) a
+        row block at a time.  Float sums are monotone, so no row's score
+        is above its ceiling, not even by rounding, for an objective
+        that never falls when an app's GFLOPS rise (see
+        :mod:`repro.core.optimizer`).
         """
-        block = _block_rows(*counts.shape[1:])
+        comps = counts[:, :, 0]
+        n_apps = comps.shape[1]
+        threads = np.arange(tables.cores_per_node.max() + 1, dtype=float)
+        peak = (threads[:, None, None] * tables.peak_per_thread).sum(axis=2)
+        apps = np.arange(n_apps)
+        block = max(1, _BLOCK_ELEMENTS // n_apps)
         out = np.empty(len(rows))
         for lo in range(0, len(rows), block):
-            peak = counts[rows[lo : lo + block]].astype(float)
-            peak *= tables.peak_per_thread
-            out[lo : lo + block] = self._objective(peak.sum(axis=2))
+            out[lo : lo + block] = self._objective(
+                peak[comps[rows[lo : lo + block]], apps]
+            )
         return out
 
     def _score_rows(

@@ -66,7 +66,7 @@ import numpy as np
 
 from repro.core.allocation import ThreadAllocation
 from repro.core.candidates import CandidateSpace
-from repro.core.fasteval import FastEvaluator, roofline_bound
+from repro.core.fasteval import FastEvaluator, symmetric_roofline_bound
 from repro.core.model import NumaPerformanceModel, Prediction
 from repro.core.spec import AppSpec
 from repro.errors import AllocationError, ModelError
@@ -119,7 +119,7 @@ def _total_gflops_batched(
 
 
 total_gflops.batched = _total_gflops_batched
-total_gflops.bound = roofline_bound
+total_gflops.bound = symmetric_roofline_bound
 
 
 def weighted_gflops(weights: dict[str, float]) -> Objective:
@@ -388,7 +388,7 @@ class ExhaustiveSearch(_SearchBase):
     tensor, named by the tensor's key: its first best row.  The scalar
     evaluator scores every row.  The fast evaluator scores only the
     rows that the objective's bound
-    (:func:`~repro.core.fasteval.roofline_bound` for
+    (:func:`~repro.core.fasteval.symmetric_roofline_bound` for
     :func:`total_gflops`) and the score with every thread at its peak
     cannot rule out, and returns the same row, ties included: when the
     best rows reach the machine's compute peak, the first of them ends

@@ -691,12 +691,19 @@ class TestRateLimit:
         gateway = make_gateway(rate=20.0, burst=5)
 
         async def scenario():
-            await gateway.start()
+            service = await gateway.start()
             reader, writer = await connect(gateway)
             loop = asyncio.get_running_loop()
             await request(reader, writer, Register(name="mem", app=MEM))
-            # Burst: 4 more instant commands fit the 5-token bucket.
-            for _ in range(4):
+            # The register's re-optimization runs on the loop: let it
+            # finish and the bucket refill, so nothing blocks the loop
+            # while the burst goes in and no token comes back during it.
+            assert await until(lambda: "mem" in service.current_allocation())
+            assert await until(
+                lambda: gateway._bucket.available() >= gateway.gateway.burst
+            )
+            # Burst: 5 instant commands fit the 5-token bucket.
+            for _ in range(5):
                 reply = await request(
                     reader,
                     writer,
@@ -1571,7 +1578,8 @@ class TestJournalRecovery:
             assert service.recoveries == 1
             assert "mem" in service.registry
             reader, writer = await connect(gateway)
-            await asyncio.sleep(0.05)  # reconcile re-optimization
+            # The reconcile re-optimization allocates the recovered session.
+            assert await until(lambda: "mem" in service.current_allocation())
             update = await request(
                 reader, writer, QueryAllocation(name="mem")
             )
