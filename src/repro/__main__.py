@@ -66,8 +66,8 @@ Commands
     instead run the :class:`~repro.serve.gateway.GatewayServer` daemon
     on those listeners until SIGINT or SIGTERM drains it (``--machine``
     picks the topology preset), every peer under the same admission
-    control (connection caps, token-bucket rate limiting, bounded
-    admission queue, idle deadlines — see ``docs/GATEWAY.md``).
+    control (connection caps, bounded admission queue, idle deadlines
+    — see ``docs/GATEWAY.md``).
 """
 
 from __future__ import annotations
@@ -231,7 +231,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="[HOST:]PORT",
         help="serve the NDJSON protocol over TCP through the gateway "
-        "(admission control, rate limiting; see docs/GATEWAY.md)",
+        "(admission control; see docs/GATEWAY.md)",
     )
     servep.add_argument(
         "--http",

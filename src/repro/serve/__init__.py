@@ -24,10 +24,9 @@ Layering (each layer usable on its own):
   examples, the tutorial);
 * :mod:`repro.serve.gateway` — the one asyncio front end: NDJSON
   streams over a unix socket and/or TCP, plus an HTTP/1.1 adapter,
-  all under the same admission control — connection caps, token-bucket
-  rate limiting, a bounded admission queue, idle deadlines, and
-  graceful drain (``python -m repro serve --socket PATH`` or ``--tcp
-  :9070``, ``docs/GATEWAY.md``);
+  all under the same admission control — connection caps, a bounded
+  admission queue, idle deadlines, and graceful drain (``python -m
+  repro serve --socket PATH`` or ``--tcp :9070``, ``docs/GATEWAY.md``);
 * :mod:`repro.serve.server` — per-connection outbox with backpressure,
   and :class:`~repro.serve.server.AsyncServiceClient`, the asyncio
   stream client;
@@ -63,11 +62,7 @@ from repro.serve.protocol import (
     decode_message,
     encode_message,
 )
-from repro.serve.gateway import (
-    GatewayConfig,
-    GatewayServer,
-    TokenBucket,
-)
+from repro.serve.gateway import GatewayConfig, GatewayServer
 from repro.serve.registry import Session, SessionState, WorkloadRegistry
 from repro.serve.scenarios import (
     ChurnEvent,
@@ -104,7 +99,6 @@ __all__ = [
     "AllocationService",
     "ServiceClient",
     "AsyncServiceClient",
-    "TokenBucket",
     "GatewayConfig",
     "GatewayServer",
     "ChurnEvent",

@@ -15,9 +15,6 @@ same admission control:
   an ``overloaded`` :class:`~repro.serve.protocol.ErrorReply` (HTTP
   503) and closed, so a connection flood cannot exhaust file
   descriptors.
-* **Token-bucket rate limiting** — commands across *all* connections
-  drain one :class:`TokenBucket`; when it runs dry the command is shed
-  with ``overloaded`` instead of being queued behind a burst.
 * **Bounded admission queue** — accepted commands wait in one bounded
   queue consumed by a single dispatcher task; overflow sheds with
   ``overloaded``.  The queue depth is the gateway's only buffering, so
@@ -62,7 +59,7 @@ import contextlib
 import json
 import urllib.parse
 from dataclasses import dataclass
-from typing import Awaitable, Callable
+from typing import Awaitable
 
 from repro.errors import ServiceError
 from repro.obs import OBS, CounterHandle, GaugeHandle, HistogramHandle
@@ -79,7 +76,6 @@ from repro.serve.server import _Connection
 from repro.serve.service import AllocationService, ServiceConfig
 
 __all__ = [
-    "TokenBucket",
     "GatewayConfig",
     "GatewayServer",
     "HTTP_STATUS",
@@ -89,7 +85,6 @@ __all__ = [
 _CONNECTIONS = GaugeHandle("gateway/connections")
 _COMMANDS = CounterHandle("gateway/commands")
 _SHED = CounterHandle("gateway/shed")
-_RATE_LIMITED = CounterHandle("gateway/rate_limited")
 _QUEUE_FULL = CounterHandle("gateway/queue_full")
 _REJECTED = CounterHandle("gateway/rejected_connections")
 _IDLE_TIMEOUTS = CounterHandle("gateway/idle_timeouts")
@@ -134,61 +129,6 @@ _HTTP_REASONS = {
 _MAX_HEADERS = 64
 
 
-class TokenBucket:
-    """Deterministic token-bucket rate limiter on an injected clock.
-
-    The bucket holds at most ``burst`` tokens and refills continuously
-    at ``rate`` tokens per second of the injected ``clock``.  Each
-    admitted command takes one token; an empty bucket means the caller
-    should shed.  Because the clock is injected (loop time in the
-    gateway, simulation time in DES tests, a hand-cranked counter in
-    doctests) the refill arithmetic is exact and replayable — no
-    wall-clock reads (TIME001).
-
-    >>> t = [0.0]
-    >>> bucket = TokenBucket(rate=2.0, burst=2, clock=lambda: t[0])
-    >>> [bucket.try_acquire() for _ in range(3)]
-    [True, True, False]
-    >>> t[0] = 0.5  # half a second refills rate*0.5 = 1 token
-    >>> bucket.try_acquire(), bucket.try_acquire()
-    (True, False)
-    """
-
-    def __init__(
-        self, rate: float, burst: int, clock: Callable[[], float]
-    ) -> None:
-        if rate <= 0:
-            raise ServiceError(f"rate must be positive, got {rate}")
-        if burst < 1:
-            raise ServiceError(f"burst must be >= 1, got {burst}")
-        self.rate = float(rate)
-        self.burst = float(burst)
-        self.clock = clock
-        self._tokens = float(burst)
-        self._last = clock()
-
-    def _refill(self) -> None:
-        now = self.clock()
-        if now > self._last:
-            self._tokens = min(
-                self.burst, self._tokens + (now - self._last) * self.rate
-            )
-        self._last = now
-
-    def available(self) -> float:
-        """Tokens currently in the bucket (after refill)."""
-        self._refill()
-        return self._tokens
-
-    def try_acquire(self, tokens: float = 1.0) -> bool:
-        """Take ``tokens`` if the bucket holds them; never blocks."""
-        self._refill()
-        if self._tokens >= tokens:
-            self._tokens -= tokens
-            return True
-        return False
-
-
 @dataclass(frozen=True)
 class GatewayConfig:
     """Immutable knobs of one :class:`GatewayServer`.
@@ -211,12 +151,6 @@ class GatewayConfig:
     max_connections:
         Concurrent sockets (stream + HTTP combined) before new accepts
         are answered ``overloaded`` and closed.
-    rate:
-        Token-bucket refill in commands per second across all
-        connections; ``None`` disables rate limiting.
-    burst:
-        Token-bucket capacity: commands absorbed instantly before the
-        sustained ``rate`` applies.
     admission_limit:
         Commands queued for the dispatcher before further commands are
         shed ``overloaded``; the gateway's only buffering, hence its
@@ -240,8 +174,6 @@ class GatewayConfig:
     http_port: int | None = None
     unix_path: str | None = None
     max_connections: int = 256
-    rate: float | None = None
-    burst: int = 64
     admission_limit: int = 1024
     idle_deadline: float | None = 30.0
     max_line_bytes: int = 64 * 1024
@@ -256,12 +188,6 @@ class GatewayConfig:
             raise ServiceError(
                 f"max_connections must be >= 1, got {self.max_connections}"
             )
-        if self.rate is not None and self.rate <= 0:
-            raise ServiceError(
-                f"rate must be positive or None, got {self.rate}"
-            )
-        if self.burst < 1:
-            raise ServiceError(f"burst must be >= 1, got {self.burst}")
         if self.admission_limit < 1:
             raise ServiceError(
                 f"admission_limit must be >= 1, got {self.admission_limit}"
@@ -383,7 +309,7 @@ class GatewayServer:
     """Unix-socket, TCP and HTTP front end of one allocation service.
 
     Every peer passes the same admission control (connection caps,
-    rate limiting, bounded queueing, idle deadlines, graceful drain).
+    bounded queueing, idle deadlines, graceful drain).
 
     Parameters
     ----------
@@ -420,15 +346,12 @@ class GatewayServer:
         self._http_count = 0
         self._admission: asyncio.Queue | None = None
         self._dispatcher: asyncio.Task | None = None
-        self._bucket: TokenBucket | None = None
         self._draining = False
         #: commands the dispatcher handed to the service core.
         self.commands = 0
         #: commands refused ``overloaded``/``draining`` at the gateway
-        #: (rate limit, full admission queue, or drain in progress).
+        #: (full admission queue, or drain in progress).
         self.shed = 0
-        #: subset of :attr:`shed` refused by the token bucket.
-        self.rate_limited = 0
         #: subset of :attr:`shed` refused because the admission queue
         #: was full.
         self.queue_full = 0
@@ -477,8 +400,6 @@ class GatewayServer:
                 call_later=loop.call_later,
             )
         gw = self.gateway
-        if gw.rate is not None:
-            self._bucket = TokenBucket(gw.rate, gw.burst, loop.time)
         self._admission = asyncio.Queue(maxsize=gw.admission_limit)
         self._dispatcher = asyncio.ensure_future(self._dispatch())
         if gw.port is not None:
@@ -578,17 +499,6 @@ class GatewayServer:
                 message,
                 "gateway is draining; admission is closed",
                 "draining",
-            )
-        if self._bucket is not None and not self._bucket.try_acquire():
-            self.rate_limited += 1
-            if OBS.enabled:
-                _RATE_LIMITED.add()
-            return self._shed_reply(
-                message,
-                f"rate limit exceeded "
-                f"({self.gateway.rate:g} commands/s, "
-                f"burst {self.gateway.burst}); retry later",
-                "overloaded",
             )
         item = _Admitted(message, received_at, conn, future)
         try:
@@ -929,9 +839,7 @@ class GatewayServer:
         future: asyncio.Future = loop.create_future()
         shed = self._admit(message, loop.time(), future=future)
         if shed is not None:
-            return HTTP_STATUS.get(shed.code or "overloaded", 503), (
-                shed.to_dict()
-            )
+            return HTTP_STATUS[shed.code], shed.to_dict()
         reply = await future
         if isinstance(reply, ErrorReply):
             status = HTTP_STATUS.get(reply.code or "malformed", 400)

@@ -136,17 +136,14 @@ class WorkloadRegistry:
                 f"({existing.state.value})",
                 code="duplicate-session",
             )
-        live = sum(
-            1
-            for s in self._sessions.values()
-            if s.state is not SessionState.CLOSED
-        )
-        if self.max_sessions is not None and live >= self.max_sessions:
-            raise ServiceError(
-                f"admission of '{app.name}' refused: "
-                f"{live} sessions at the max_sessions={self.max_sessions} cap",
-                code="overloaded",
-            )
+        if self.max_sessions is not None:
+            live = len(self)
+            if live >= self.max_sessions:
+                raise ServiceError(
+                    f"admission of '{app.name}' refused: {live} sessions "
+                    f"at the max_sessions={self.max_sessions} cap",
+                    code="overloaded",
+                )
         # Re-admission must take the *newest* position in admission
         # order, so drop the closed tombstone first.
         self._sessions.pop(app.name, None)

@@ -2,10 +2,10 @@
 
 Covers the edge cases a trusting transport never sees: slow-loris
 partial lines and bodies, oversized frames, connection-cap rejection,
-token-bucket burst-then-sustain behaviour, the four refusal counters
-against the ``overloaded`` replies a client read, drain with commands
-still queued, peers that vanish or stop reading, and malformed or
-concurrent HTTP requests against the adapter.  Stream tests run over
+the three refusal counters against the ``overloaded`` replies a client
+read, drain with commands still queued, peers that vanish or stop
+reading, and malformed, concurrent or refused HTTP requests against
+the adapter.  Stream tests run over
 TCP; each ``TestUnix*`` subclass re-runs its parent's tests over the
 unix-socket listener, and newer classes are parametrized over both.
 """
@@ -39,7 +39,6 @@ from repro.serve import (
     GatewayServer,
     ServiceConfig,
     ShutdownNotice,
-    TokenBucket,
     decode_message,
     encode_message,
 )
@@ -51,7 +50,6 @@ from repro.serve.protocol import (
     QueryAllocation,
     Register,
 )
-from repro.sim import Simulator
 
 MEM = AppSpec.memory_bound("mem", 0.5)
 CPU = AppSpec.compute_bound("cpu", 10.0)
@@ -209,52 +207,11 @@ def http_post_command(message) -> bytes:
     return head + body
 
 
-class TestTokenBucket:
-    def test_burst_then_refill_on_injected_clock(self):
-        t = [0.0]
-        bucket = TokenBucket(rate=10.0, burst=3, clock=lambda: t[0])
-        assert [bucket.try_acquire() for _ in range(4)] == [
-            True, True, True, False,
-        ]
-        t[0] = 0.1  # one token refilled
-        assert bucket.try_acquire()
-        assert not bucket.try_acquire()
-        t[0] = 10.0  # refill caps at burst
-        assert bucket.available() == pytest.approx(3.0)
-
-    def test_simulation_clock_replays_the_same_decisions(self):
-        # The gateway's admission decision in DES form: one schedule and
-        # one set of knobs give one accept/shed pattern, no event loop.
-        def run_once() -> list[bool]:
-            sim = Simulator()
-            bucket = TokenBucket(rate=50.0, burst=10, clock=lambda: sim.now)
-            decisions: list[bool] = []
-            for i in range(200):  # 200 commands/s for one second
-                sim.schedule_at(
-                    i / 200.0, lambda: decisions.append(bucket.try_acquire())
-                )
-            sim.run()
-            return decisions
-
-        first = run_once()
-        assert first == run_once()
-        # The 10-token burst plus 49.75 tokens refilled by t = 0.995 s.
-        assert sum(first) == 59
-
-    def test_validation(self):
-        with pytest.raises(ServiceError):
-            TokenBucket(rate=0.0, burst=1, clock=lambda: 0.0)
-        with pytest.raises(ServiceError):
-            TokenBucket(rate=1.0, burst=0, clock=lambda: 0.0)
-
-
 class TestGatewayConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"max_connections": 0},
-            {"rate": 0.0},
-            {"burst": 0},
             {"admission_limit": 0},
             {"idle_deadline": 0.0},
             {"max_line_bytes": 100},
@@ -686,57 +643,6 @@ class TestBothListeners:
         run(scenario())
 
 
-class TestRateLimit:
-    def test_burst_then_sustain(self):
-        gateway = make_gateway(rate=20.0, burst=5)
-
-        async def scenario():
-            service = await gateway.start()
-            reader, writer = await connect(gateway)
-            loop = asyncio.get_running_loop()
-            await request(reader, writer, Register(name="mem", app=MEM))
-            # The register's re-optimization runs on the loop: let it
-            # finish and the bucket refill, so nothing blocks the loop
-            # while the burst goes in and no token comes back during it.
-            assert await until(lambda: "mem" in service.current_allocation())
-            assert await until(
-                lambda: gateway._bucket.available() >= gateway.gateway.burst
-            )
-            # Burst: 5 instant commands fit the 5-token bucket.
-            for _ in range(5):
-                reply = await request(
-                    reader,
-                    writer,
-                    ProgressReport(name="mem", time=loop.time()),
-                )
-                assert isinstance(reply, Ack)
-            # The bucket is dry: the next instant command is shed.
-            shed = await request(
-                reader,
-                writer,
-                ProgressReport(name="mem", time=loop.time()),
-            )
-            assert isinstance(shed, ErrorReply)
-            assert shed.code == "overloaded"
-            assert gateway.rate_limited >= 1
-            # Sustained pace under the refill rate is admitted again.
-            accepted = 0
-            for _ in range(3):
-                await asyncio.sleep(0.06)  # > 1/rate seconds
-                reply = await request(
-                    reader,
-                    writer,
-                    ProgressReport(name="mem", time=loop.time()),
-                )
-                if isinstance(reply, Ack):
-                    accepted += 1
-            assert accepted == 3
-            writer.close()
-            await gateway.stop()
-
-        run(scenario())
-
-
 class TestAdmissionQueue:
     def test_queue_overflow_sheds_overloaded(self):
         gateway = make_gateway(admission_limit=1)
@@ -793,7 +699,6 @@ class TestAdmissionQueue:
                 assert await until(lambda: gateway.shed == 2)
             # One register queued, the other two refused by the queue.
             assert gateway.queue_full == 2
-            assert gateway.rate_limited == 0
             assert cap.metrics.counter("gateway/queue_full").value == 2
             gateway._dispatcher = asyncio.ensure_future(
                 gateway._dispatch()
@@ -806,18 +711,16 @@ class TestAdmissionQueue:
 
 @pytest.mark.parametrize("transport", TRANSPORTS)
 class TestShedAccounting:
-    def test_four_refusal_stages_sum_to_overloaded_replies(self, make):
+    def test_refusal_stages_sum_to_overloaded_replies(self, make):
         # Each stage that answers `overloaded` refuses once: the
-        # connection cap, the registry's session cap, the admission
-        # queue and the token bucket.  Every refusal is counted by
-        # exactly one of their four counters.
+        # connection cap, the registry's session cap and the admission
+        # queue.  Every refusal is counted by exactly one of their
+        # three counters.
         gateway = make(
             service=ServiceConfig(
                 machine=model_machine(), debounce=0.01, max_sessions=1
             ),
             max_connections=2,
-            rate=0.01,  # no refill within the test
-            burst=4,
             admission_limit=1,
         )
 
@@ -837,17 +740,15 @@ class TestShedAccounting:
             line = await asyncio.wait_for(reader3.readline(), timeout=5.0)
             replies.append(decode_message(line.decode("utf-8")))
             # With the dispatcher paused, the first report fills the
-            # one-slot queue, the second takes the bucket's last token
-            # and finds the queue full, the third finds the bucket dry.
+            # one-slot queue and the second finds it full.
             gateway._dispatcher.cancel()
             with contextlib.suppress(asyncio.CancelledError):
                 await gateway._dispatcher
             loop = asyncio.get_running_loop()
-            for _ in range(3):
+            for _ in range(2):
                 report = ProgressReport(name="mem", time=loop.time())
                 writer.write((encode_message(report) + "\n").encode("utf-8"))
             await writer.drain()
-            replies.append(await next_reply(reader))
             replies.append(await next_reply(reader))
             gateway._dispatcher = asyncio.ensure_future(gateway._dispatch())
             replies.append(await next_reply(reader))  # the queued report
@@ -859,8 +760,7 @@ class TestShedAccounting:
         with capture() as cap:
             service, replies = run(scenario())
         assert [type(r).__name__ for r in replies] == [
-            "Ack", "ErrorReply", "ErrorReply", "ErrorReply", "ErrorReply",
-            "Ack",
+            "Ack", "ErrorReply", "ErrorReply", "ErrorReply", "Ack",
         ]
         overloaded = sum(
             isinstance(r, ErrorReply) and r.code == "overloaded"
@@ -870,7 +770,6 @@ class TestShedAccounting:
             "gateway/rejected_connections": gateway.rejected_connections,
             "serve/rejected_sessions": service.rejected_sessions,
             "gateway/queue_full": gateway.queue_full,
-            "gateway/rate_limited": gateway.rate_limited,
         }
         assert all(n >= 1 for n in counted.values()), counted
         assert sum(counted.values()) == overloaded
@@ -1010,7 +909,6 @@ class TestDrain:
                 )
             assert gateway.shed == 3
             assert gateway.queue_full == 0
-            assert gateway.rate_limited == 0
             writer.close()
             await gateway.stop()
 
@@ -1499,6 +1397,55 @@ class TestHttpAdapter:
             assert json.loads(body)["code"] == "draining"
             assert gateway.rejected_connections == 0
             writer.close()
+            await gateway.stop()
+
+        run(scenario())
+
+    def test_connect_over_the_connection_cap_is_503_overloaded(self):
+        gateway = self.make_http_gateway(max_connections=1)
+
+        async def scenario():
+            await gateway.start()
+            _, stream = await connect(gateway)
+            assert await until(lambda: gateway.connection_count == 1)
+            # The cap answers at accept, before any request is read, so
+            # the client sends none: the gateway would close on unread
+            # bytes, which can reset the connection before the reply.
+            host, port = gateway.http_address
+            reader, writer = await asyncio.open_connection(host, port)
+            raw = await asyncio.wait_for(reader.read(), timeout=5.0)
+            head, _, body = raw.partition(b"\r\n\r\n")
+            assert head.split()[1] == b"503"
+            assert json.loads(body)["code"] == "overloaded"
+            assert gateway.rejected_connections == 1
+            writer.close()
+            stream.close()
+            await gateway.stop()
+
+        run(scenario())
+
+    def test_command_into_a_full_queue_is_503_overloaded(self):
+        gateway = self.make_http_gateway(admission_limit=1)
+
+        async def scenario():
+            await gateway.start()
+            gateway._dispatcher.cancel()
+            with contextlib.suppress(asyncio.CancelledError):
+                await gateway._dispatcher
+            queued = asyncio.ensure_future(
+                http_exchange(
+                    gateway, http_post_command(Register(name="mem", app=MEM))
+                )
+            )
+            assert await until(lambda: gateway._admission.qsize() == 1)
+            status, body = await http_exchange(
+                gateway, http_post_command(Register(name="cpu", app=CPU))
+            )
+            assert (status, body["code"]) == (503, "overloaded")
+            assert gateway.queue_full == 1
+            gateway._dispatcher = asyncio.ensure_future(gateway._dispatch())
+            status, body = await queued
+            assert (status, body["type"], body["name"]) == (200, "ack", "mem")
             await gateway.stop()
 
         run(scenario())
