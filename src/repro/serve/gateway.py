@@ -382,7 +382,12 @@ class GatewayServer:
         return len(self._connections) + self._http_count
 
     async def start(self) -> AllocationService:
-        """Bind the listeners and start dispatching; returns the core."""
+        """Bind the listeners and start dispatching; returns the core.
+
+        The core's staleness watchdog is armed at the staleness
+        window, so a runtime that dies without deregistering loses its
+        cores without waiting for the next membership change.
+        """
         if self._listeners:
             raise ServiceError("gateway already started")
         loop = asyncio.get_running_loop()
@@ -399,6 +404,7 @@ class GatewayServer:
                 clock=loop.time,
                 call_later=loop.call_later,
             )
+        self.service.start_watchdog()
         gw = self.gateway
         self._admission = asyncio.Queue(maxsize=gw.admission_limit)
         self._dispatcher = asyncio.ensure_future(self._dispatch())

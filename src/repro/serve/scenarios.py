@@ -548,7 +548,9 @@ class Replay:
     counts for the report.  ``criteria`` describes them all.  ``knobs``
     holds any further :class:`ServiceConfig` fields; ``journaled`` runs
     the service journaled even when the caller names no journal
-    directory.
+    directory.  ``debounce`` is the replay's own window (20 ms unless
+    set), not :class:`ServiceConfig`'s default, so a change to that
+    default moves no replay report.
 
     :meth:`run` does everything else: it builds the service and the
     driver, runs the replay, turns each failing criterion into a

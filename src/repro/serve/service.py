@@ -20,8 +20,11 @@ three run the *same* policy code.
 Policy highlights (full semantics in ``docs/SERVICE.md``):
 
 * **Debounced re-optimization** — every membership change arms one
-  ``debounce``-second timer instead of searching immediately, so a
-  burst of joins/leaves costs one search, not one per event.
+  ``debounce``-second timer (2 ms by default) instead of searching
+  immediately, so the commands that arrive together — a replacement's
+  ``deregister`` and ``register``, a burst written at once — cost one
+  search, not one per event, and a flood of changes runs at most one
+  search per window plus search.
 * **Score-cache reuse** — the service owns a single
   :class:`~repro.core.model.NumaPerformanceModel` whose
   :class:`~repro.core.fasteval.ScoreCache` persists across churn.
@@ -42,9 +45,12 @@ Policy highlights (full semantics in ``docs/SERVICE.md``):
 * **Staleness quarantine + quorum degradation** — sessions whose last
   report is older than the :class:`~repro.agent.resilience
   .ResiliencePolicy` freshness window are quarantined out of the
-  optimized workload; when fewer than ``quorum`` of live sessions are
-  active the service degrades to a static equal share instead of
-  trusting the model with a mostly-unobserved workload.
+  optimized workload, at the next re-optimization or the next sweep
+  of the watchdog (:meth:`AllocationService.start_watchdog`, armed by
+  the gateway and the replay driver at start); when fewer than
+  ``quorum`` of live sessions are active the service degrades to a
+  static equal share instead of trusting the model with a
+  mostly-unobserved workload.
 * **At-least-once delivery** — each progress report carries the epoch
   the runtime last applied; the service re-pushes the current
   allocation while that trails, which is what lets the fault drill
@@ -116,7 +122,12 @@ class ServiceConfig:
         Topology the workload is optimized against.
     debounce:
         Seconds a membership change waits before triggering a
-        re-optimization, coalescing join/leave bursts.  Must be
+        re-optimization.  The default, 2 ms, is about the cost of one
+        cold search: the commands that arrive together (a
+        replacement's ``deregister`` and ``register``, a burst written
+        at once) still cost one search, and a continuous flood of
+        changes runs at most one search per window plus search, so it
+        spends at most about half a CPU on searching.  Must be
         positive: zero would re-introduce one search per event.
     report_interval:
         Expected seconds between a runtime's progress reports; the
@@ -147,12 +158,15 @@ class ServiceConfig:
         re-optimization is already pending (debounce armed), reports
         from a session that reported less than this many seconds ago
         are coalesced — acknowledged but not folded into the registry.
+        Shedding applies only inside that window, one ``debounce``
+        after a membership change (~2 ms by default), so it trims the
+        reports that race a pending search, not a steady flood.
         ``None`` (default) disables shedding.  ``register`` and
         ``deregister`` are never shed.
     """
 
     machine: MachineTopology
-    debounce: float = 0.02
+    debounce: float = 0.002
     report_interval: float = 0.1
     resilience: ResiliencePolicy = field(default_factory=ResiliencePolicy)
     max_sessions: int | None = None

@@ -50,6 +50,7 @@ from repro.serve.protocol import (
     QueryAllocation,
     Register,
 )
+from repro.serve.registry import SessionState
 
 MEM = AppSpec.memory_bound("mem", 0.5)
 CPU = AppSpec.compute_bound("cpu", 10.0)
@@ -360,6 +361,107 @@ class TestTcpRoundTrip:
                 await second.register(MEM)  # duplicate live session
             await first.close()
             await second.close()
+            await gateway.stop()
+
+        run(scenario())
+
+    def test_watchdog_takes_a_silent_sessions_cores(self, make):
+        # Default timing: a 0.15 s staleness window (1.5 x 0.1 s).
+        gateway = make(service=ServiceConfig(machine=model_machine()))
+
+        async def scenario():
+            service = await gateway.start()
+            loop = asyncio.get_running_loop()
+            live = await client(gateway, "mem")
+            silent = await client(gateway, "cpu")
+            await live.register(MEM)
+            await silent.register(CPU)
+            first = await silent.next_pushed(timeout=5.0)
+            assert first.per_node == (8, 8, 8, 8)
+            # No register or deregister follows: only the watchdog can
+            # notice that "cpu" went silent while "mem" keeps reporting.
+            held = None  # the newest allocation pushed to "mem"
+            deadline = loop.time() + 5.0
+            while loop.time() < deadline and not (
+                held is not None
+                and held.epoch > first.epoch
+                and held.per_node == (8, 8, 8, 8)
+            ):
+                await live.report(
+                    time=loop.time(),
+                    acked_epoch=None if held is None else held.epoch,
+                )
+                if live.pushed:
+                    held = live.pushed[-1]
+                    live.pushed.clear()
+                await asyncio.sleep(0.05)
+            assert held.epoch > first.epoch
+            assert held.per_node == (8, 8, 8, 8)
+            state = service.registry.get("cpu").state
+            assert state is SessionState.QUARANTINED
+            await live.close()
+            await silent.close()
+            await gateway.stop()
+
+        run(scenario())
+
+    def test_replacement_pair_costs_one_search(self, make):
+        # The default debounce window; a staleness window longer than
+        # the test, so that only the churn below re-optimizes.
+        gateway = make(
+            service=ServiceConfig(
+                machine=model_machine(), report_interval=10.0
+            )
+        )
+        specs = {
+            name: AppSpec.memory_bound(name, ai)
+            for name, ai in zip("abcde", (0.5, 1.0, 2.0, 4.0, 8.0))
+        }
+
+        async def scenario():
+            service = await gateway.start()
+            reader, writer = await connect(gateway)
+
+            async def churn(*messages):
+                """Send ``messages`` in one write; the pushes of the
+                epoch after them, by session name."""
+                writer.write(
+                    "".join(encode_message(m) + "\n" for m in messages)
+                    .encode("utf-8")
+                )
+                await writer.drain()
+                acks = [await next_reply(reader) for _ in messages]
+                assert all(isinstance(ack, Ack) for ack in acks)
+                epoch = acks[-1].epoch
+                live = service.registry.active_specs()
+                pushes = {}
+                while {s.name for s in live} - pushes.keys():
+                    line = await asyncio.wait_for(reader.readline(), 5.0)
+                    pushed = decode_message(line.decode("utf-8"))
+                    assert pushed.in_reply_to is None
+                    if pushed.epoch == epoch:
+                        assert pushed.name not in pushes
+                        pushes[pushed.name] = pushed
+                return pushes
+
+            registered = [Register(name=n, app=specs[n]) for n in "abc"]
+            assert set(await churn(*registered)) == {"a", "b", "c"}
+            before = service.reoptimizations
+            pushes = await churn(
+                Deregister(name="b"), Register(name="d", app=specs["d"])
+            )
+            assert set(pushes) == {"a", "c", "d"}
+            assert service.reoptimizations == before + 1
+            # Nothing else is pending: 50 ms on, no push and no search.
+            with pytest.raises(asyncio.TimeoutError):
+                await asyncio.wait_for(reader.readline(), 0.05)
+            assert service.reoptimizations == before + 1
+            pushes = await churn(
+                Deregister(name="a"), Register(name="e", app=specs["e"])
+            )
+            assert set(pushes) == {"c", "d", "e"}
+            assert service.reoptimizations == before + 2
+            writer.close()
             await gateway.stop()
 
         run(scenario())
@@ -1581,8 +1683,21 @@ class TestDaemonCli:
         async def second_life(proc):
             peer = AsyncServiceClient("mem")
             await peer.connect(sock)
-            # The journal brought the session back: no re-register.
-            update = await peer.query_allocation()
+            # The journal brought the session back: no re-register.  It
+            # has been silent since the crash, past its staleness window,
+            # so the restart's re-optimization quarantines it if it runs
+            # first; the heartbeat brings it back.
+            loop = asyncio.get_running_loop()
+            await peer.report(time=loop.time())
+            deadline = loop.time() + 10.0
+            while True:
+                try:
+                    update = await peer.query_allocation()
+                    break
+                except ServiceError:
+                    if loop.time() > deadline:
+                        raise
+                    await asyncio.sleep(0.02)
             assert update.per_node == (8, 8, 8, 8)
             # A session registered on this life is subscribed to pushes
             # and hears the drain.
