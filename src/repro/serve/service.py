@@ -122,13 +122,15 @@ class ServiceConfig:
         Topology the workload is optimized against.
     debounce:
         Seconds a membership change waits before triggering a
-        re-optimization.  The default, 2 ms, is about the cost of one
-        cold search: the commands that arrive together (a
-        replacement's ``deregister`` and ``register``, a burst written
-        at once) still cost one search, and a continuous flood of
-        changes runs at most one search per window plus search, so it
-        spends at most about half a CPU on searching.  Must be
-        positive: zero would re-introduce one search per event.
+        re-optimization.  With the default, 2 ms, the commands that
+        arrive together (a replacement's ``deregister`` and
+        ``register``, a burst written at once) still cost one search.
+        A continuous flood of changes runs at most one search per
+        window plus search, so a search of ``S`` seconds takes
+        ``S / (debounce + S)`` of a CPU: measured 0.41 at 8 apps and
+        0.76-0.78 at 12 on the model machine (``docs/PERFORMANCE.md``).
+        Must be positive: zero would re-introduce one search per
+        event.
     report_interval:
         Expected seconds between a runtime's progress reports; the
         staleness window is ``resilience.freshness_window`` times this
@@ -158,9 +160,6 @@ class ServiceConfig:
         re-optimization is already pending (debounce armed), reports
         from a session that reported less than this many seconds ago
         are coalesced — acknowledged but not folded into the registry.
-        Shedding applies only inside that window, one ``debounce``
-        after a membership change (~2 ms by default), so it trims the
-        reports that race a pending search, not a steady flood.
         ``None`` (default) disables shedding.  ``register`` and
         ``deregister`` are never shed.
     """
@@ -295,6 +294,9 @@ class AllocationService:
         self._pending_event_times: list[float] = []
         self._draining = False
         self._watchdog_interval: float | None = None
+        #: clock time :meth:`recover` rebuilt this instance at; the
+        #: staleness sweep counts every session as heard from then.
+        self._recovered_at: float | None = None
         self.reoptimizations = 0
         self.degraded_reoptimizations = 0
         self.delta_reoptimizations = 0
@@ -586,10 +588,17 @@ class AllocationService:
     # -- the re-optimization loop ---------------------------------------
 
     def _sweep_stale(self, now: float) -> None:
-        """Quarantine every active session outside the freshness window."""
+        """Quarantine every active session outside the freshness window.
+
+        A recovered service counts each session as heard from at its
+        recovery, since no runtime could report while it was down.
+        """
         window = self.config.staleness_window
+        floor = self._recovered_at
         for session in list(self.registry.active_sessions()):
             last = session.last_report_time
+            if floor is not None and (last is None or last < floor):
+                last = floor
             if last is None or now - last > window:
                 self.registry.quarantine(session.name)
                 self._journal_event(
@@ -943,6 +952,12 @@ class AllocationService:
         reconciliation answer equals the pre-crash one, and no spurious
         pushes go out (every session's ``pushed_epoch`` is already
         current).
+
+        Each session's last report time is restored as journaled, but
+        the staleness sweep counts every session as heard from at the
+        recovery, since no runtime could report while the service was
+        down: a silent one is quarantined one staleness window after
+        the recovery, not at the reconciliation.
         """
         start = time.perf_counter()
         loaded = load_journal(path)
@@ -960,6 +975,7 @@ class AllocationService:
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         service.recoveries = 1
         service.last_recovery = loaded
+        service._recovered_at = clock()
         service.journal = Journal.open(
             path,
             fsync=fsync,

@@ -1683,21 +1683,8 @@ class TestDaemonCli:
         async def second_life(proc):
             peer = AsyncServiceClient("mem")
             await peer.connect(sock)
-            # The journal brought the session back: no re-register.  It
-            # has been silent since the crash, past its staleness window,
-            # so the restart's re-optimization quarantines it if it runs
-            # first; the heartbeat brings it back.
-            loop = asyncio.get_running_loop()
-            await peer.report(time=loop.time())
-            deadline = loop.time() + 10.0
-            while True:
-                try:
-                    update = await peer.query_allocation()
-                    break
-                except ServiceError:
-                    if loop.time() > deadline:
-                        raise
-                    await asyncio.sleep(0.02)
+            # The journal brought the session back: no re-register.
+            update = await peer.query_allocation()
             assert update.per_node == (8, 8, 8, 8)
             # A session registered on this life is subscribed to pushes
             # and hears the drain.

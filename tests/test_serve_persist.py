@@ -22,6 +22,7 @@ from repro.serve import (
     ProgressReport,
     Register,
     ServiceConfig,
+    SessionState,
     run_replay,
 )
 from repro.serve.persist import (
@@ -357,6 +358,43 @@ class TestServiceRecovery:
             recovered.registry.to_snapshot()
             == service.registry.to_snapshot()
         )
+        assert sorted(recovered.current_allocation()) == ["mem"]
+
+    def test_a_slow_restart_gives_each_session_one_fresh_window(
+        self, tmp_path
+    ):
+        sim, service = make_journaled(tmp_path)
+        window = service.config.staleness_window
+        service.handle(Register(name="mem", app=MEM))
+        service.handle(Register(name="bad", app=BAD))
+        sim.run_until(0.1)
+        allocation = service.current_allocation()
+        service.crash()
+        restart = 0.1 + 4 * window  # no runtime reports while it is down
+        sim.run_until(restart)
+        recovered = recover(tmp_path, sim)
+        recovered.start_watchdog()
+        assert (
+            recovered.registry.to_snapshot()
+            == service.registry.to_snapshot()
+        )
+        # The reconciliation keeps both sessions and their allocation.
+        sim.run_until(restart + window / 2)
+        assert recovered.reoptimizations == 1
+        assert recovered.quarantines == 0
+        assert recovered.current_allocation() == allocation
+        # "mem" reconnects and reports; "bad" stays silent and loses its
+        # cores at the watchdog's first sweep after its fresh window.
+        for at in (restart + window / 2, restart + 3 * window / 2):
+            sim.run_until(at)
+            recovered.handle(
+                ProgressReport(
+                    name="mem", time=sim.now, progress={}, cpu_load=1.0
+                )
+            )
+        sim.run_until(restart + 2 * window + 0.01)
+        assert recovered.registry.get("bad").state is SessionState.QUARANTINED
+        assert recovered.registry.get("mem").active
         assert sorted(recovered.current_allocation()) == ["mem"]
 
     def test_recover_refuses_a_different_machine(self, tmp_path):
