@@ -74,7 +74,7 @@ def main() -> None:
     fair = ExhaustiveSearch(objective=min_app_gflops).search(machine, apps)
     print(
         f"max-min-fair optimum: worst app gets "
-        f"{min(a.gflops for a in fair.prediction.apps):.1f} GFLOPS "
+        f"{fair.score:.1f} GFLOPS "
         f"with {fair.allocation}"
     )
 

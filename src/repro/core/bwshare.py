@@ -125,8 +125,27 @@ def share_node_bandwidth(
             f"the model's no-over-subscription assumption"
         )
 
+    allocated, baseline = _fill_node(capacity, num_cores, d, rule)
+    return NodeShare(
+        allocated=allocated, baseline=baseline, capacity=capacity
+    )
+
+
+def _fill_node(
+    capacity: float,
+    num_cores: int,
+    demands: np.ndarray,
+    rule: RemainderRule,
+) -> tuple[np.ndarray, float]:
+    """:func:`share_node_bandwidth` on inputs known to be valid.
+
+    ``demands`` must be a 1-D float array of at most ``num_cores``
+    non-negative entries.  Returns the per-thread grants and the
+    baseline.  The scalar model calls this directly: it builds valid
+    inputs by construction, so the checks would only cost time.
+    """
     baseline = capacity / num_cores
-    allocated = np.minimum(d, baseline)
+    allocated = np.minimum(demands, baseline)
     remaining = capacity - allocated.sum()
 
     # Water-fill the remainder.  Each pass hands out bandwidth according to
@@ -135,7 +154,7 @@ def share_node_bandwidth(
     # next pass.  Terminates because every pass either exhausts the
     # remainder or satisfies at least one thread.
     while remaining > _EPS:
-        unmet = d - allocated
+        unmet = demands - allocated
         unsatisfied = unmet > _EPS
         if not np.any(unsatisfied):
             break
@@ -150,10 +169,7 @@ def share_node_bandwidth(
             break
         allocated += give
         remaining -= handed
-
-    return NodeShare(
-        allocated=allocated, baseline=baseline, capacity=capacity
-    )
+    return allocated, baseline
 
 
 def share_node_bandwidth_batch(

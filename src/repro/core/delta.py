@@ -301,7 +301,7 @@ class DeltaSearch(_SearchBase):
         allocation = ThreadAllocation(
             app_names=names, counts=space.expand(comp)
         )
-        exact_score, prediction = self._exact(machine, apps, allocation)
+        exact_score = self._exact(machine, apps, allocation)
         if (
             previous_score is not None
             and not delta.departed
@@ -313,7 +313,6 @@ class DeltaSearch(_SearchBase):
             return self._full(machine, apps, delta, "regression")
         result = SearchResult(
             allocation=allocation,
-            prediction=prediction,
             score=exact_score,
             evaluations=self._evaluations,
             trajectory=tuple(trajectory),

@@ -31,7 +31,7 @@ from typing import Callable, Hashable, Sequence
 import numpy as np
 
 from repro.core.allocation import ThreadAllocation
-from repro.core.bwshare import RemainderRule, share_node_bandwidth
+from repro.core.bwshare import RemainderRule, _fill_node
 from repro.core.fasteval import (
     ModelTables,
     ScoreCache,
@@ -258,13 +258,38 @@ class NumaPerformanceModel:
             If the apps and allocation are inconsistent with each other or
             with the machine.
         """
+        return self._observed(self._predict, machine, apps, allocation)
+
+    def predict_total(
+        self,
+        machine: MachineTopology,
+        apps: Sequence[AppSpec],
+        allocation: ThreadAllocation,
+    ) -> float:
+        """``predict(machine, apps, allocation).total_gflops``, bit for bit.
+
+        Runs the same grant computation and sums the same per-group
+        GFLOPS in the same order, but assembles no
+        :class:`Prediction`: the way to score one allocation under the
+        ``total_gflops`` objective.  Counted and timed as a prediction,
+        like :meth:`predict`.
+
+        Raises
+        ------
+        ModelError
+            As :meth:`predict` does.
+        """
+        return self._observed(self._total, machine, apps, allocation)
+
+    def _observed(self, evaluate, machine, apps, allocation):
+        """``evaluate(machine, apps, allocation)``, counted and timed."""
         if not OBS.enabled:
-            return self._predict(machine, apps, allocation)
+            return evaluate(machine, apps, allocation)
         t0 = time.perf_counter()
-        prediction = self._predict(machine, apps, allocation)
+        out = evaluate(machine, apps, allocation)
         self._obs_predictions.add()
         self._obs_predict_seconds.record(time.perf_counter() - t0)
-        return prediction
+        return out
 
     # ------------------------------------------------------------------
     def predict_scores(
@@ -376,17 +401,107 @@ class NumaPerformanceModel:
         allocation: ThreadAllocation,
     ) -> Prediction:
         self._check_inputs(machine, apps, allocation)
+        counts = allocation.counts  # (apps, nodes)
+        local_grant, remote_grant, fills = self._grants(machine, apps, counts)
+        node_results = [
+            NodeResult(
+                node_id=m,
+                capacity=machine.node(m).local_bandwidth,
+                remote_served=remote_served,
+                local_capacity=local_capacity,
+                local_consumed=float(granted.sum()),
+                baseline=baseline,
+            )
+            for m, (remote_served, local_capacity, granted, baseline)
+            in enumerate(fills)
+        ]
+
+        # Assemble per-app results.
+        app_results: list[AppResult] = []
+        for a, app in enumerate(apps):
+            groups = tuple(
+                GroupResult(
+                    app_name=app.name,
+                    source_node=s,
+                    threads=t,
+                    demand_per_thread=app.demand_per_thread(core_peak),
+                    local_bw=float(local_grant[a, s]),
+                    remote_bw=float(remote_grant[a, s]),
+                    gflops=gflops,
+                )
+                for s, t, core_peak, gflops in _group_gflops(
+                    machine, app, counts[a], local_grant[a], remote_grant[a]
+                )
+            )
+            app_results.append(
+                AppResult(
+                    name=app.name,
+                    gflops=float(sum(g.gflops for g in groups)),
+                    bandwidth=float(sum(g.total_bw for g in groups)),
+                    threads=int(counts[a].sum()),
+                    groups=groups,
+                )
+            )
+
+        return Prediction(
+            machine_name=machine.name,
+            allocation=allocation,
+            apps=tuple(app_results),
+            nodes=tuple(node_results),
+        )
+
+    def _total(
+        self,
+        machine: MachineTopology,
+        apps: Sequence[AppSpec],
+        allocation: ThreadAllocation,
+    ) -> float:
+        """:meth:`_predict`'s ``total_gflops`` without its dataclasses.
+
+        The same grants and the same sums in the same order (each app's
+        groups, then the apps), so the result is equal bit for bit.
+        """
+        self._check_inputs(machine, apps, allocation)
+        counts = allocation.counts
+        local_grant, remote_grant, _ = self._grants(machine, apps, counts)
+        per_app = (
+            float(
+                sum(
+                    gflops
+                    for *_, gflops in _group_gflops(
+                        machine, app, row, local_grant[a], remote_grant[a]
+                    )
+                )
+            )
+            for a, (app, row) in enumerate(zip(apps, counts))
+        )
+        return float(sum(per_app))
+
+    def _grants(
+        self,
+        machine: MachineTopology,
+        apps: Sequence[AppSpec],
+        counts: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
+        """Phases 1 and 2 of the model on one checked ``(apps, nodes)`` row.
+
+        Returns the ``(apps, source nodes)`` local and remote bandwidth
+        granted to each thread group, and per memory node the
+        ``(remote served, local capacity, per-thread grants, baseline)``
+        of its arbitration.
+        """
         n_nodes = machine.num_nodes
         n_apps = len(apps)
-        counts = allocation.counts  # (apps, nodes)
+        # Python scalars index faster than NumPy ones; the float
+        # operations below are the same either way.
+        rows = counts.tolist()
 
         # Per-(app, source-node) demand routed to each memory node:
         # route[a, s, m] = GB/s that app a's threads on node s attempt to
         # draw from node m's memory.
         route = np.zeros((n_apps, n_nodes, n_nodes))
         for a, app in enumerate(apps):
-            for s in range(n_nodes):
-                t = counts[a, s]
+            for s, t in enumerate(rows[a]):
                 if t == 0:
                     continue
                 core_peak = machine.node(s).cores[0].peak_gflops
@@ -404,13 +519,13 @@ class NumaPerformanceModel:
         # node's bandwidth they are scaled down proportionally (the paper's
         # parameters never trigger the scaling, but the model must stay
         # physical for arbitrary inputs).
-        remote_demand = route.sum(axis=0)  # (source, memory)
+        remote_demand = route.sum(axis=0).tolist()  # (source, memory)
         served = np.zeros((n_nodes, n_nodes))
         for m in range(n_nodes):
             for s in range(n_nodes):
                 if s == m:
                     continue
-                d = remote_demand[s, m]
+                d = remote_demand[s][m]
                 if d <= 0:
                     continue
                 served[s, m] = min(d, machine.bandwidth(s, m))
@@ -422,9 +537,10 @@ class NumaPerformanceModel:
         # Per-group remote grants: each source node's served flow is split
         # among the contributing groups proportionally to their demand.
         remote_grant = np.zeros((n_apps, n_nodes))  # by (app, source node)
+        served_from = served.tolist()
         for m in range(n_nodes):
             for s in range(n_nodes):
-                if s == m or served[s, m] <= 0:
+                if s == m or served_from[s][m] <= 0:
                     continue
                 demands = route[:, s, m]
                 share = served[s, m] / demands.sum()
@@ -432,86 +548,40 @@ class NumaPerformanceModel:
 
         # Phase 2 — local arbitration on what remains of each node.
         local_grant = np.zeros((n_apps, n_nodes))  # by (app, source node)
-        node_results: list[NodeResult] = []
+        fills: list[tuple] = []
         for m in range(n_nodes):
             node = machine.node(m)
             remote_served = float(served[:, m].sum())
-            capacity = node.local_bandwidth - remote_served
+            capacity = max(node.local_bandwidth - remote_served, 0.0)
             # Expand group-level local demands into per-thread demands so
             # the baseline/water-fill operates at thread granularity, as
             # the paper's rules are stated per core.
             thread_demands: list[float] = []
             owners: list[int] = []
             for a in range(n_apps):
-                t = counts[a, m]
-                d = route[a, m, m]
+                t = rows[a][m]
                 if t == 0:
                     continue
-                per_thread = d / t
+                per_thread = route[a, m, m] / t
                 thread_demands.extend([per_thread] * t)
                 owners.extend([a] * t)
             # Threads with zero local demand (e.g. NUMA-bad threads away
             # from home) still occupy a core but draw nothing locally;
             # including them (demand 0) or excluding them is equivalent
             # under the baseline rule, which divides by cores, not threads.
-            share = share_node_bandwidth(
-                max(capacity, 0.0),
+            granted, baseline = _fill_node(
+                capacity,
                 node.num_cores,
                 np.asarray(thread_demands, dtype=float),
-                rule=self.remainder_rule,
+                self.remainder_rule,
             )
-            for grant, a in zip(share.allocated, owners):
-                local_grant[a, m] += grant
-            node_results.append(
-                NodeResult(
-                    node_id=m,
-                    capacity=node.local_bandwidth,
-                    remote_served=remote_served,
-                    local_capacity=max(capacity, 0.0),
-                    local_consumed=share.consumed,
-                    baseline=share.baseline,
-                )
-            )
-
-        # Assemble per-app results.
-        app_results: list[AppResult] = []
-        for a, app in enumerate(apps):
-            groups: list[GroupResult] = []
-            for s in range(n_nodes):
-                t = int(counts[a, s])
-                if t == 0:
-                    continue
-                core_peak = machine.node(s).cores[0].peak_gflops
-                peak = app.peak_gflops(core_peak)
-                bw = float(local_grant[a, s] + remote_grant[a, s])
-                gflops = min(bw * app.arithmetic_intensity, peak * t)
-                groups.append(
-                    GroupResult(
-                        app_name=app.name,
-                        source_node=s,
-                        threads=t,
-                        demand_per_thread=app.demand_per_thread(core_peak),
-                        local_bw=float(local_grant[a, s]),
-                        remote_bw=float(remote_grant[a, s]),
-                        gflops=gflops,
-                    )
-                )
-            app_results.append(
-                AppResult(
-                    name=app.name,
-                    gflops=float(sum(g.gflops for g in groups)),
-                    bandwidth=float(sum(g.total_bw for g in groups)),
-                    threads=int(counts[a].sum()),
-                    groups=tuple(groups),
-                )
-            )
-
-        return Prediction(
-            machine_name=machine.name,
-            allocation=allocation,
-            apps=tuple(app_results),
-            nodes=tuple(node_results),
-        )
+            # Each group's grant is its threads' grants added one by one.
+            grants = [0.0] * n_apps
+            for grant, a in zip(granted.tolist(), owners):
+                grants[a] += grant
+            local_grant[:, m] = grants
+            fills.append((remote_served, capacity, granted, baseline))
+        return local_grant, remote_grant, fills
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -550,3 +620,26 @@ class NumaPerformanceModel:
                 f"workload apps {names} (order matters)"
             )
         allocation.validate(machine)
+
+
+def _group_gflops(
+    machine: MachineTopology,
+    app: AppSpec,
+    counts: np.ndarray,
+    local_grant: np.ndarray,
+    remote_grant: np.ndarray,
+):
+    """``(source node, threads, core peak, GFLOPS)`` of each thread group.
+
+    ``counts`` and the two grant rows are ``app``'s, by source node; a
+    group's GFLOPS is its granted bandwidth times the app's arithmetic
+    intensity, capped at its threads' peak.
+    """
+    for s, t in enumerate(counts.tolist()):
+        if t == 0:
+            continue
+        core_peak = machine.node(s).cores[0].peak_gflops
+        bw = float(local_grant[s] + remote_grant[s])
+        yield s, t, core_peak, min(
+            bw * app.arithmetic_intensity, app.peak_gflops(core_peak) * t
+        )

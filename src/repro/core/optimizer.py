@@ -51,7 +51,7 @@ finds the first best row of a whole symmetric space.  There are two:
 The loop picks winners with ``argmax`` (the first maximum) in the pinned
 enumeration order of :class:`~repro.core.candidates.CandidateSpace`,
 and the returned :class:`SearchResult` carries the reference model's
-prediction and score of the winning allocation.  The deterministic
+score of the winning allocation.  The deterministic
 searches therefore return the same winner, ties and all, through either
 evaluator; annealing may diverge on exact ties (see its docstring).
 """
@@ -167,7 +167,6 @@ class SearchResult:
     """Outcome of an allocation search."""
 
     allocation: ThreadAllocation
-    prediction: Prediction
     score: float
     evaluations: int
     trajectory: tuple[float, ...] = ()
@@ -321,15 +320,20 @@ class _SearchBase:
         machine: MachineTopology,
         apps: Sequence[AppSpec],
         allocation: ThreadAllocation,
-    ) -> tuple[float, Prediction]:
-        """Ground-truth (score, prediction) of the winning allocation.
+    ) -> float:
+        """Ground-truth score of the winning allocation.
 
         Runs the scalar reference model, so the returned
         :class:`SearchResult` is the same whichever evaluator scored the
-        candidates.  Not counted as a search evaluation.
+        candidates: :meth:`~repro.core.model.NumaPerformanceModel
+        .predict_total` for :func:`total_gflops` (equal to its
+        :meth:`~repro.core.model.NumaPerformanceModel.predict` score bit
+        for bit), the objective of a full prediction otherwise.  Not
+        counted as a search evaluation.
         """
-        prediction = self.model.predict(machine, apps, allocation)
-        return self.objective(prediction), prediction
+        if self.objective is total_gflops:
+            return self.model.predict_total(machine, apps, allocation)
+        return self.objective(self.model.predict(machine, apps, allocation))
 
     def _result(
         self,
@@ -339,11 +343,9 @@ class _SearchBase:
         trajectory: Sequence[float] = (),
     ) -> SearchResult:
         """The :class:`SearchResult` of a search that chose ``allocation``."""
-        score, prediction = self._exact(machine, apps, allocation)
         return SearchResult(
             allocation=allocation,
-            prediction=prediction,
-            score=score,
+            score=self._exact(machine, apps, allocation),
             evaluations=self._evaluations,
             trajectory=tuple(trajectory),
         )

@@ -8,8 +8,9 @@ small:
 
 * **Append-only NDJSON segments** (``journal-NNNNNN.ndjson``): one JSON
   record per line, written with an ``O_APPEND`` file descriptor and
-  ``fsync``'d per record (configurable), so a crash can only ever tear
-  the *last* record.
+  ``fsync``'d (configurable) per record, or once for a batch appended
+  with ``sync=False`` and committed by :meth:`Journal.sync`, so a crash
+  can only ever tear the *last* record.
 * **CRC per record**: every line carries a CRC32 over the canonical
   serialization of its payload, and a monotonically increasing global
   ``seq``.  :func:`load_journal` truncates a torn tail at the last
@@ -395,6 +396,8 @@ class Journal:
         self._fsync = fsync
         self.compact_every = compact_every
         self._since_compact = 0
+        #: whether the segment holds records appended since its last fsync.
+        self._unsynced = False
         #: records appended by this writer (not counting earlier lives).
         self.records = 0
 
@@ -441,18 +444,32 @@ class Journal:
         """True once :meth:`close` ran; appends then raise."""
         return self._fd is None
 
-    def append(self, event: dict) -> int:
-        """Durably append one event record; returns its ``seq``."""
+    def append(self, event: dict, *, sync: bool = True) -> int:
+        """Append one event record; returns its ``seq``.
+
+        With ``sync`` (default) the record is durable on return.  With
+        ``sync=False`` it is written but not yet fsync'd: the next
+        :meth:`sync`, synced append or :meth:`compact` makes it durable
+        together with every record deferred before it.
+        """
         if self._fd is None:
             raise ServiceError("journal is closed")
         self._seq += 1
         line = (encode_record(self._seq, event) + "\n").encode("utf-8")
         _write_all(self._fd, line)
-        if self._fsync:
-            os.fsync(self._fd)
+        self._unsynced = True
+        if sync:
+            self.sync()
         self.records += 1
         self._since_compact += 1
         return self._seq
+
+    def sync(self) -> None:
+        """Make every record appended so far durable: at most one fsync."""
+        if self._unsynced and self._fd is not None:
+            if self._fsync:
+                os.fsync(self._fd)
+            self._unsynced = False
 
     def should_compact(self) -> bool:
         """True when ``compact_every`` appends accumulated."""
@@ -469,10 +486,12 @@ class Journal:
         pruned only once *two* valid snapshots exist — the previous
         snapshot generation (and every journal segment from it on) stays
         around so a corrupt newest snapshot can still recover
-        losslessly.
+        losslessly.  The segment it closes is fsync'd first, so records
+        deferred before the compaction are durable in that chain too.
         """
         if self._fd is None:
             raise ServiceError("journal is closed")
+        self.sync()
         new_gen = self.generation + 1
         atomic_write(
             os.path.join(self.path, _snapshot_name(new_gen)),

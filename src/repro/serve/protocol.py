@@ -58,12 +58,15 @@ ERROR_CODES: dict[str, str] = {
     "duplicate-session": "a live session already holds that name",
     "closed-session": "the named session already deregistered/closed",
     "overloaded": (
-        "admission refused, retry later: the connection cap, the rate "
-        "limit, the admission queue or the max_sessions cap is full"
+        "admission refused, retry later: the connection cap, the "
+        "admission queue or the max_sessions cap is full"
     ),
     "draining": "the service is shutting down; admission is closed",
     "backwards-report": "the report's timestamp went backwards",
-    "no-allocation": "no allocation has been computed yet",
+    "no-allocation": (
+        "no allocation has been computed yet, or the session is "
+        "quarantined until it reports again"
+    ),
     "deadline-exceeded": "the command sat queued past its deadline",
     "frame-too-large": "the NDJSON line exceeded the frame cap",
 }

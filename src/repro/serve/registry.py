@@ -117,7 +117,11 @@ class WorkloadRegistry:
                 f"max_sessions must be >= 1, got {max_sessions}"
             )
         self.max_sessions = max_sessions
+        #: every session ever admitted, closed tombstones included.
         self._sessions: dict[str, Session] = {}
+        #: the non-closed sessions, in the same admission order: the
+        #: scans below cost O(live sessions), not O(ever admitted).
+        self._live: dict[str, Session] = {}
         self._epoch = 0
 
     # -- membership -----------------------------------------------------
@@ -151,6 +155,7 @@ class WorkloadRegistry:
             app=app, admitted_at=now, last_report_time=now
         )
         self._sessions[app.name] = session
+        self._live[app.name] = session
         self._epoch += 1
         return session
 
@@ -171,6 +176,7 @@ class WorkloadRegistry:
             )
         was_active = session.active
         session.state = SessionState.CLOSED
+        del self._live[name]
         if was_active:
             self._epoch += 1
         return session
@@ -251,19 +257,16 @@ class WorkloadRegistry:
         return name in self._sessions
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.live_sessions())
+        """Number of non-closed sessions."""
+        return len(self._live)
 
     def live_sessions(self) -> Iterator[Session]:
         """All non-closed sessions, in admission order."""
-        return (
-            s
-            for s in self._sessions.values()
-            if s.state is not SessionState.CLOSED
-        )
+        return iter(self._live.values())
 
     def active_sessions(self) -> Iterator[Session]:
         """All active sessions, in admission order."""
-        return (s for s in self._sessions.values() if s.active)
+        return (s for s in self._live.values() if s.active)
 
     def active_specs(self) -> tuple[AppSpec, ...]:
         """The optimized workload: active specs in admission order."""
@@ -326,7 +329,7 @@ class WorkloadRegistry:
                 raise ServiceError(
                     f"registry snapshot repeats session '{app.name}'"
                 )
-            registry._sessions[app.name] = Session(
+            session = Session(
                 app=app,
                 state=SessionState(entry["state"]),
                 admitted_at=entry["admitted_at"],
@@ -336,6 +339,9 @@ class WorkloadRegistry:
                 progress=dict(entry["progress"]),
                 cpu_load=entry["cpu_load"],
             )
+            registry._sessions[app.name] = session
+            if session.state is not SessionState.CLOSED:
+                registry._live[app.name] = session
         registry._epoch = epoch
         return registry
 

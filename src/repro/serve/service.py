@@ -519,6 +519,13 @@ class AllocationService:
             )
         per_node = self._allocation.get(message.name)
         if per_node is None:
+            if session.state is SessionState.QUARANTINED:
+                raise ServiceError(
+                    f"session '{message.name}' is quarantined: it sent "
+                    f"no report within the staleness window and holds "
+                    f"no cores until it reports again",
+                    code="no-allocation",
+                )
             raise ServiceError(
                 f"no allocation computed yet for '{message.name}' "
                 f"(re-optimization pending)",
@@ -587,11 +594,13 @@ class AllocationService:
 
     # -- the re-optimization loop ---------------------------------------
 
-    def _sweep_stale(self, now: float) -> None:
+    def _sweep_stale(self, now: float, *, sync: bool = True) -> None:
         """Quarantine every active session outside the freshness window.
 
         A recovered service counts each session as heard from at its
         recovery, since no runtime could report while it was down.
+        ``sync=False`` defers the quarantine records' fsync to the
+        caller's commit.
         """
         window = self.config.staleness_window
         floor = self._recovered_at
@@ -602,14 +611,15 @@ class AllocationService:
             if last is None or now - last > window:
                 self.registry.quarantine(session.name)
                 self._journal_event(
-                    {"kind": "quarantine", "name": session.name}
+                    {"kind": "quarantine", "name": session.name},
+                    sync=sync,
                 )
                 self.quarantines += 1
                 if OBS.enabled:
                     _QUARANTINED.add()
 
     def _quorum_met(self) -> bool:
-        live = sum(1 for _ in self.registry.live_sessions())
+        live = len(self.registry)
         if live == 0:
             return True
         active = sum(1 for _ in self.registry.active_sessions())
@@ -623,10 +633,12 @@ class AllocationService:
         and the degraded equal-share path when it does not, then pushes
         an :class:`~repro.serve.protocol.AllocationUpdate` to every
         subscribed session whose counts, epoch, or degradation flag
-        changed.
+        changed.  Its journal records (the sweep's quarantines, the
+        allocation, every push) share one fsync, taken before the first
+        push leaves.
         """
         now = self.clock()
-        self._sweep_stale(now)
+        self._sweep_stale(now, sync=False)
         specs = self.registry.active_specs()
         epoch = self.registry.epoch
         with OBS.tracer.span(
@@ -670,7 +682,8 @@ class AllocationService:
                     name: list(counts)
                     for name, counts in allocation.items()
                 },
-            }
+            },
+            sync=False,
         )
         events, self._pending_event_times = self._pending_event_times, []
         if OBS.enabled:
@@ -732,13 +745,12 @@ class AllocationService:
         Mirrors :meth:`repro.agent.agent.Agent._equal_share`: each
         node's cores are divided evenly, the remainder going to the
         earliest-admitted apps.  The score is still the scalar model's
-        prediction for transparency, but it did not steer the choice.
+        total for transparency, but it did not steer the choice.
         """
         machine = self.config.machine
         allocation = EvenSharePolicy(distribute_leftover=True).allocate(
             machine, specs
         )
-        prediction = self.model.predict(machine, specs, allocation)
         return (
             {
                 name: tuple(
@@ -746,7 +758,7 @@ class AllocationService:
                 )
                 for name in allocation.app_names
             },
-            prediction.total_gflops,
+            self.model.predict_total(machine, specs, allocation),
         )
 
     # -- downstream push ------------------------------------------------
@@ -764,13 +776,23 @@ class AllocationService:
         )
 
     def _push_updates(self) -> None:
+        """Push the current allocation to each session behind its epoch.
+
+        Every push is recorded first, deferred, then one journal commit
+        makes them durable with the re-optimization's earlier records,
+        and only then do the pushes go out.
+        """
+        due = []
         for session in list(self.registry.active_sessions()):
             update = self._update_for(session)
-            if update is None:
+            if update is None or session.pushed_epoch == update.epoch:
                 continue
-            if session.pushed_epoch == update.epoch:
-                continue
-            self._push(session, update)
+            self._record_push(session, update, sync=False)
+            due.append((session, update))
+        if self.journal is not None:
+            self.journal.sync()
+        for session, update in due:
+            self._deliver(session, update)
 
     def _maybe_retransmit(self, session: Session) -> None:
         """Re-push when the runtime's applied epoch trails the current.
@@ -805,33 +827,45 @@ class AllocationService:
         self._push(session, update)
 
     def _push(self, session: Session, update: AllocationUpdate) -> None:
+        self._record_push(session, update)
+        self._deliver(session, update)
+
+    def _record_push(
+        self, session: Session, update: AllocationUpdate, *, sync: bool = True
+    ) -> None:
         session.pushed_epoch = update.epoch
         self._journal_event(
             {
                 "kind": "push",
                 "name": session.name,
                 "epoch": update.epoch,
-            }
+            },
+            sync=sync,
         )
         if OBS.enabled:
             _COMMANDS.add()
+
+    def _deliver(self, session: Session, update: AllocationUpdate) -> None:
         push = self._subscribers.get(session.name)
         if push is not None:
             push(update)
 
     # -- persistence ----------------------------------------------------
 
-    def _journal_event(self, event: dict) -> None:
+    def _journal_event(self, event: dict, *, sync: bool = True) -> None:
         """Append one state-change record; compact when due.
 
         Called *after* the mutation it records succeeded, so the
         journal never contains an event the live service rejected.
+        With ``sync`` the record is fsync'd before this returns, so a
+        command's records are durable before its reply; a
+        re-optimization passes ``sync=False`` and commits once.
         Pure observer: with ``journal=None`` (or a closed journal)
         this is a no-op and the service behaves byte-identically.
         """
         if self.journal is None or self.journal.closed:
             return
-        self.journal.append(event)
+        self.journal.append(event, sync=sync)
         self.journal_records += 1
         if OBS.enabled:
             _JOURNAL_RECORDS.add()
@@ -987,9 +1021,7 @@ class AllocationService:
             _RECOVERIES.add()
             _RECOVERY_REPLAY.record(elapsed_ms)
             _SESSIONS.set(len(service.registry))
-        if reconcile and any(
-            True for _ in service.registry.live_sessions()
-        ):
+        if reconcile and len(service.registry):
             service._note_churn(clock())
         return service
 

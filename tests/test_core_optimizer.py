@@ -30,8 +30,8 @@ class TestExhaustive:
         res = ExhaustiveSearch(objective=min_app_gflops).search(
             paper_machine, paper_apps
         )
-        worst = min(a.gflops for a in res.prediction.apps)
-        assert worst > 0
+        # the score of a min_app_gflops result is the worst app's GFLOPS
+        assert res.score > 0
         # the pure-throughput optimum starves apps, so max-min must differ
         assert res.allocation.threads_of("mem0").sum() > 0
 

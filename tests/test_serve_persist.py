@@ -25,6 +25,7 @@ from repro.serve import (
     SessionState,
     run_replay,
 )
+from repro.serve import persist
 from repro.serve.persist import (
     Journal,
     _canonical,
@@ -184,7 +185,50 @@ class TestRecordCodec:
             decode_record(line)
 
 
+class _RecordingOs:
+    """Stands in for ``os`` inside ``repro.serve.persist``.
+
+    Logs ``("write" | "fsync" | "close", fd)`` for the journal's own
+    descriptor calls and delegates everything to the real module.
+    """
+
+    def __init__(self, log: list) -> None:
+        self._log = log
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+    def write(self, fd, data):
+        self._log.append(("write", fd))
+        return os.write(fd, data)
+
+    def fsync(self, fd):
+        self._log.append(("fsync", fd))
+        os.fsync(fd)
+
+    def close(self, fd):
+        self._log.append(("close", fd))
+        os.close(fd)
+
+
 class TestJournalWriter:
+    def test_deferred_appends_share_one_fsync(self, tmp_path, monkeypatch):
+        log: list = []
+        monkeypatch.setattr(persist, "os", _RecordingOs(log))
+        journal = Journal.open(str(tmp_path), fsync=True)
+        log.clear()
+        for i in range(3):
+            journal.append({"kind": "register", "name": f"a{i}"}, sync=False)
+        assert [what for what, _ in log] == ["write"] * 3
+        journal.sync()
+        journal.sync()  # nothing appended since: no second fsync
+        assert [what for what, _ in log] == ["write"] * 3 + ["fsync"]
+        journal.append({"kind": "register", "name": "b"})
+        assert [what for what, _ in log][-2:] == ["write", "fsync"]
+        journal.close()
+        loaded = load_journal(str(tmp_path))
+        assert [e["name"] for e in loaded.events] == ["a0", "a1", "a2", "b"]
+
     def test_append_load_round_trip(self, tmp_path):
         journal = Journal.open(str(tmp_path), fsync=False)
         events = [{"kind": "register", "name": f"a{i}"} for i in range(5)]
@@ -432,6 +476,77 @@ class TestServiceRecovery:
         assert (
             second.registry.to_snapshot() == first.registry.to_snapshot()
         )
+
+
+class TestOneFsyncPerReoptimization:
+    """A re-optimization's records share one fsync, taken before a push.
+
+    Ten subscribed sessions: the allocation record and ten push
+    records took eleven fsyncs when each record had its own.
+    """
+
+    APPS = [AppSpec.memory_bound(f"m{i}", 0.2 + 0.1 * i) for i in range(5)] + [
+        AppSpec.compute_bound(f"c{i}", 5.0 + i) for i in range(5)
+    ]
+
+    def _subscribed(self, tmp_path, monkeypatch, compact_every=None):
+        log: list = []
+        monkeypatch.setattr(persist, "os", _RecordingOs(log))
+        sim = Simulator()
+        service = AllocationService(
+            ServiceConfig(machine=model_machine()),
+            clock=lambda: sim.now,
+            call_later=lambda delay, fn: sim.schedule(delay, fn),
+            journal=Journal.open(
+                str(tmp_path), fsync=True, compact_every=compact_every
+            ),
+        )
+        for app in self.APPS:
+            service.handle(Register(name=app.name, app=app))
+            service.subscribe(
+                app.name,
+                lambda message, name=app.name: log.append(("push", name)),
+            )
+        log.clear()
+        return service, log
+
+    def test_one_fsync_before_every_push(self, tmp_path, monkeypatch):
+        service, log = self._subscribed(tmp_path, monkeypatch)
+        records = service.journal_records
+        service.reoptimize()
+        assert service.journal_records == records + 11
+        fsyncs = [i for i, (what, _) in enumerate(log) if what == "fsync"]
+        pushes = [i for i, (what, _) in enumerate(log) if what == "push"]
+        assert len(fsyncs) == 1
+        assert len(pushes) == 10
+        assert fsyncs[0] < pushes[0]
+
+    def test_a_compaction_inside_the_batch_syncs_the_closed_segment(
+        self, tmp_path, monkeypatch
+    ):
+        # Ten register records, then the allocation record and ten
+        # pushes: the fifteenth record, the fourth push, compacts.
+        service, log = self._subscribed(
+            tmp_path, monkeypatch, compact_every=15
+        )
+        generation = service.journal.generation
+        service.reoptimize()
+        assert service.journal.generation == generation + 1
+        closed = 0
+        unsynced: set = set()
+        for what, fd in log:
+            if what == "write":
+                unsynced.add(fd)
+            elif what == "fsync":
+                unsynced.discard(fd)
+            elif what == "close":
+                assert fd not in unsynced, "closed with records not fsync'd"
+                closed += 1
+            else:
+                assert not unsynced, "pushed before its records were durable"
+        assert closed >= 1
+        assert not unsynced
+        assert sum(what == "push" for what, _ in log) == 10
 
 
 def _digest(report) -> str:

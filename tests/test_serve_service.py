@@ -3,6 +3,8 @@ registry lifecycle, debounced re-optimization, staleness quarantine,
 quorum degradation, and at-least-once allocation delivery."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import AppSpec, NumaPerformanceModel
 from repro.core.optimizer import ExhaustiveSearch
@@ -112,6 +114,56 @@ class TestRegistry:
             reg.admit(BAD, now=0.0)
 
 
+_REGISTRY_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["admit", "remove", "quarantine", "reactivate"]),
+        st.integers(min_value=0, max_value=5),
+    ),
+    max_size=60,
+)
+
+
+class TestLiveIndex:
+    """The live-session index always equals a filter over every session.
+
+    ``live_sessions``, ``active_sessions``, ``active_specs`` and
+    ``len`` read an index of the non-closed sessions; the reference is
+    the snapshot's list of every session ever admitted, tombstones
+    included, in admission order.
+    """
+
+    @staticmethod
+    def _check(reg):
+        everyone = [
+            (entry["app"]["name"], entry["state"])
+            for entry in reg.to_snapshot()["sessions"]
+        ]
+        live = [name for name, state in everyone if state != "closed"]
+        active = [name for name, state in everyone if state == "active"]
+        assert [s.name for s in reg.live_sessions()] == live
+        assert [s.name for s in reg.active_sessions()] == active
+        assert [a.name for a in reg.active_specs()] == active
+        assert len(reg) == len(live)
+
+    @given(ops=_REGISTRY_OPS)
+    @settings(max_examples=300, deadline=None)
+    def test_index_matches_a_filter_over_all_sessions(self, ops):
+        reg = WorkloadRegistry()
+        for op, i in ops:
+            name = f"s{i}"
+            try:
+                if op == "admit":
+                    reg.admit(AppSpec(name, 0.5 + i), now=0.0)
+                else:
+                    getattr(reg, op)(name)
+            except ServiceError:
+                pass  # an illegal step for this state; the index must hold
+            self._check(reg)
+        restored = WorkloadRegistry.from_snapshot(reg.to_snapshot())
+        self._check(restored)
+        assert restored.to_snapshot() == reg.to_snapshot()
+
+
 class TestChurnAndDebounce:
     def test_burst_of_joins_costs_one_reoptimization(self):
         sim, service = make_service(debounce=0.02)
@@ -207,6 +259,36 @@ class TestStalenessAndQuorum:
         )
         # Below quorum (1 of 2 active < 0.6): degraded equal share.
         assert service.degraded_reoptimizations >= 1
+
+    def test_a_quarantined_sessions_query_names_the_quarantine(self):
+        sim, service = make_service(
+            report_interval=0.02, resilience=self._resilience()
+        )
+        a = ServiceClient(service, "mem")
+        b = ServiceClient(service, "bad")
+        a.register(MEM)
+        b.register(BAD)
+        service.start_watchdog()
+
+        def beat():
+            a.report(sim.now, cpu_load=0.5, acked_epoch=a.last_epoch())
+            sim.schedule(0.02, beat)
+
+        sim.schedule(0.02, beat)  # only "mem" heartbeats
+        sim.run_until(0.5)
+        assert service.registry.get("bad").state is (
+            SessionState.QUARANTINED
+        )
+        reply = service.handle(QueryAllocation(name="bad"))
+        assert isinstance(reply, ErrorReply)
+        assert reply.code == "no-allocation"
+        # No re-optimization is pending: the session holds no cores until
+        # it reports again, and the reply says so.
+        assert "quarantined" in reply.error
+        assert "pending" not in reply.error
+        assert isinstance(
+            service.handle(QueryAllocation(name="mem")), AllocationUpdate
+        )
 
     def test_fresh_report_reactivates(self):
         sim, service = make_service(
